@@ -64,40 +64,10 @@ ipa::AnalysisResult Compiler::analyze(const ipa::AnalyzeOptions& opts) const {
   return ipa::analyze(*program_, opts);
 }
 
-rgn::DgnProject build_dgn_project(const ir::Program& program,
-                                  const ipa::AnalysisResult& result, const std::string& name) {
-  rgn::DgnProject project;
-  project.name = name;
-  for (FileId f = 1; f <= program.sources.file_count(); ++f) {
-    project.files.push_back(program.sources.name(f));
-    project.languages.emplace_back(to_string(program.sources.language(f)));
-  }
-  for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
-    const ipa::CGNode& node = result.callgraph.node(i);
-    rgn::DgnProc p;
-    p.name = program.symtab.st(node.proc_st).name;
-    p.file = program.sources.name(node.proc->file);
-    p.line = program.symtab.st(node.proc_st).loc.line;
-    p.is_entry = node.is_root;
-    project.procedures.push_back(std::move(p));
-  }
-  for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
-    const ipa::CGNode& node = result.callgraph.node(i);
-    for (const ipa::CallSite& cs : node.callsites) {
-      rgn::DgnEdge e;
-      e.caller = program.symtab.st(node.proc_st).name;
-      e.callee = program.symtab.st(result.callgraph.node(cs.callee).proc_st).name;
-      e.line = cs.loc.line;
-      project.edges.push_back(std::move(e));
-    }
-  }
-  return project;
-}
-
 bool export_dragon_files(const ir::Program& program, const ipa::AnalysisResult& result,
                          const std::filesystem::path& dir, const std::string& name,
                          std::string* error) {
-  return export_dragon_files(result.rows, build_dgn_project(program, result, name),
+  return export_dragon_files(result.rows, ipa::build_dgn_project(program, result, name),
                              cfg::write_cfg(cfg::build_all(program)), dir, name, error);
 }
 

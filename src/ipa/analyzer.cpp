@@ -1,6 +1,7 @@
 #include "ipa/analyzer.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "obs/stats.hpp"
@@ -11,6 +12,12 @@ namespace ara::ipa {
 
 ARA_STATISTIC(stat_procs_analyzed, "ipa.procs_analyzed", "Procedures through local ARA");
 ARA_STATISTIC(stat_rows_built, "ipa.rows_built", "Region table rows assembled");
+ARA_STATISTIC(stat_summaries_propagated, "ipa.summaries_propagated",
+              "Callee side-effect summaries translated into callers");
+ARA_STATISTIC(stat_callsites, "ipa.callsites_translated", "Call sites translated");
+ARA_STATISTIC(stat_passes, "ipa.propagation_passes", "Bottom-up propagation passes run");
+ARA_STATISTIC(stat_interproc_records, "ipa.interproc_records",
+              "IDEF/IUSE records generated from callee effects");
 
 using regions::AccessMode;
 
@@ -116,8 +123,7 @@ std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
     }
     row.tot_size = ty.total_elements().value_or(0);
     row.size_bytes = ty.size_bytes().value_or(0);
-    const std::uint64_t addr =
-        InterprocAnalyzer::resolve_addr(rec.array, program, result.formal_binding);
+    const std::uint64_t addr = resolve_addr(rec.array, program, result.formal_binding);
     row.mem_loc = to_hex(addr);
     row.acc_density = rgn::access_density_pct(row.references, row.size_bytes);
     row.image = rec.image;
@@ -144,42 +150,33 @@ AnalysisResult analyze(const ir::Program& program, const AnalyzeOptions& opts) {
   }
 
   LocalAnalyzer local(program);
-  std::vector<LocalSummary> locals;
-  locals.reserve(result.callgraph.size());
+  std::vector<SideEffects> local_effects;
+  local_effects.reserve(result.callgraph.size());
   {
     ARA_SPAN("local-ARA", "ipa");
     for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
       const CGNode& node = result.callgraph.node(i);
       obs::Span proc_span(program.symtab.st(node.proc_st).name, "ipa");
       stat_procs_analyzed.bump();
-      locals.push_back(local.analyze(node));
-    }
-  }
-
-  for (LocalSummary& ls : locals) {
-    for (AccessRecord& rec : ls.records) {
-      if (!opts.include_scalars && rec.region.rank() == 0 &&
-          !program.symtab.ty(program.symtab.st(rec.array).ty).is_array()) {
-        continue;
-      }
-      result.records.push_back(rec);
+      LocalSummary ls = local.analyze(node);
+      std::move(ls.records.begin(), ls.records.end(), std::back_inserter(result.records));
+      local_effects.push_back(std::move(ls.side_effects));
     }
   }
 
   if (opts.interprocedural) {
     ARA_SPAN("IPA-propagate", "ipa");
-    InterprocAnalyzer inter(program, result.callgraph);
-    InterprocResult ir_result = inter.run(locals);
-    result.side_effects = std::move(ir_result.side_effects);
-    result.formal_binding = std::move(ir_result.formal_binding);
-    for (AccessRecord& rec : ir_result.interproc_records) {
-      result.records.push_back(std::move(rec));
-    }
+    Propagation prop = propagate(program, result.callgraph, local_effects);
+    stat_callsites.bump(prop.callsites_translated);
+    stat_summaries_propagated.bump(prop.summaries_propagated);
+    stat_passes.bump(prop.passes);
+    stat_interproc_records.bump(prop.interproc_records.size());
+    result.side_effects = std::move(prop.side_effects);
+    result.formal_binding = std::move(prop.formal_binding);
+    std::move(prop.interproc_records.begin(), prop.interproc_records.end(),
+              std::back_inserter(result.records));
   } else {
-    result.side_effects.resize(result.callgraph.size());
-    for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
-      result.side_effects[i] = locals[i].side_effects;
-    }
+    result.side_effects = std::move(local_effects);
   }
 
   {
@@ -187,6 +184,36 @@ AnalysisResult analyze(const ir::Program& program, const AnalyzeOptions& opts) {
     result.rows = build_rows(program, result);
   }
   return result;
+}
+
+rgn::DgnProject build_dgn_project(const ir::Program& program, const AnalysisResult& result,
+                                  const std::string& name) {
+  rgn::DgnProject project;
+  project.name = name;
+  for (FileId f = 1; f <= program.sources.file_count(); ++f) {
+    project.files.push_back(program.sources.name(f));
+    project.languages.emplace_back(to_string(program.sources.language(f)));
+  }
+  const CallGraph& cg = result.callgraph;
+  for (const CGNode& node : cg.nodes()) {
+    rgn::DgnProc p;
+    p.name = program.symtab.st(node.proc_st).name;
+    p.file = program.sources.name(node.file);
+    p.line = program.symtab.st(node.proc_st).loc.line;
+    p.is_entry = node.is_root;
+    project.procedures.push_back(std::move(p));
+  }
+  for (const CGNode& node : cg.nodes()) {
+    for (const CallSite& cs : node.callsites) {
+      rgn::DgnEdge e;
+      e.caller = program.symtab.st(node.proc_st).name;
+      e.callee = cs.callee != kNoNode ? program.symtab.st(cg.node(cs.callee).proc_st).name
+                                      : cs.unresolved;
+      e.line = cs.line;
+      project.edges.push_back(std::move(e));
+    }
+  }
+  return project;
 }
 
 }  // namespace ara::ipa

@@ -10,6 +10,7 @@
 #include "ipa/callgraph.hpp"
 #include "ipa/interproc.hpp"
 #include "ipa/local.hpp"
+#include "rgn/dgn.hpp"
 #include "rgn/region_row.hpp"
 
 namespace ara::ipa {
@@ -19,7 +20,6 @@ namespace ara::ipa {
 /// per-reference rows for the GUI.
 struct AnalyzeOptions {
   bool interprocedural = true;
-  bool include_scalars = true;  // scalar formal/global DEF/USE rows (Fig 12's CLASS)
 };
 
 struct AnalysisResult {
@@ -39,5 +39,12 @@ struct AnalysisResult {
 /// Rebuilds only the display rows from the records (used after filtering).
 [[nodiscard]] std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
                                                      const AnalysisResult& result);
+
+/// Builds the in-memory .dgn project (files, procedures, call-graph edges).
+/// A call site whose callee is not in the graph keeps an edge under its
+/// recorded name, so a degraded batch run shows what it is missing.
+[[nodiscard]] rgn::DgnProject build_dgn_project(const ir::Program& program,
+                                                const AnalysisResult& result,
+                                                const std::string& name);
 
 }  // namespace ara::ipa

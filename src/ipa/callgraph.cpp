@@ -3,33 +3,62 @@
 #include <algorithm>
 #include <map>
 
+#include "ipa/wn_affine.hpp"
+#include "support/string_utils.hpp"
+
 namespace ara::ipa {
 
+std::vector<Actual> digest_actuals(const ir::WN& call, const ir::SymbolTable& symtab) {
+  std::vector<Actual> out(call.kid_count());
+  for (std::size_t k = 0; k < call.kid_count(); ++k) {
+    const ir::WN* parm = call.kid(k);
+    if (parm->kid_count() == 0) continue;
+    const ir::WN& a = *parm->kid(0);
+    if ((a.opr() == ir::Opr::Lda || a.opr() == ir::Opr::Ldid) && a.st_idx() != ir::kInvalidSt &&
+        symtab.ty(symtab.st(a.st_idx()).ty).is_array()) {
+      out[k].array = a.st_idx();
+    } else {
+      out[k].affine = wn_to_affine(a, symtab);
+    }
+  }
+  return out;
+}
+
 CallGraph CallGraph::build(const ir::Program& program) {
-  CallGraph cg;
+  std::vector<CGNode> nodes;
   std::map<ir::StIdx, std::uint32_t> index;
   for (const ir::ProcedureIR& p : program.procedures) {
-    CGNode node;
-    node.proc_st = p.proc_st;
-    node.proc = &p;
-    index[p.proc_st] = static_cast<std::uint32_t>(cg.nodes_.size());
-    cg.nodes_.push_back(std::move(node));
+    index[p.proc_st] = static_cast<std::uint32_t>(nodes.size());
+    nodes.push_back(CGNode{p.proc_st, p.file, &p, {}, {}, false});
   }
-  for (std::uint32_t i = 0; i < cg.nodes_.size(); ++i) {
-    const ir::ProcedureIR& p = *cg.nodes_[i].proc;
-    if (!p.tree) continue;
-    p.tree->walk([&](const ir::WN& wn) {
-      if (wn.opr() != ir::Opr::Call) return true;
-      const auto it = index.find(wn.st_idx());
-      if (it != index.end()) {
-        cg.nodes_[i].callsites.push_back(CallSite{&wn, it->second, wn.linenum()});
-        auto& callers = cg.nodes_[it->second].callers;
-        if (std::find(callers.begin(), callers.end(), i) == callers.end()) {
-          callers.push_back(i);
-        }
+  for (CGNode& node : nodes) {
+    if (!node.proc->tree) continue;
+    node.proc->tree->walk([&](const ir::WN& wn) {
+      if (wn.opr() != ir::Opr::Call || wn.st_idx() == ir::kInvalidSt) return true;
+      const ir::St& callee = program.symtab.st(wn.st_idx());
+      if (callee.sclass != ir::StClass::Proc) return true;
+      CallSite site{kNoNode, wn.linenum().line, digest_actuals(wn, program.symtab), {}};
+      if (const auto it = index.find(wn.st_idx()); it != index.end()) {
+        site.callee = it->second;
+      } else {
+        site.unresolved = to_lower(callee.name);
       }
+      node.callsites.push_back(std::move(site));
       return true;
     });
+  }
+  return from_nodes(std::move(nodes));
+}
+
+CallGraph CallGraph::from_nodes(std::vector<CGNode> nodes) {
+  CallGraph cg;
+  cg.nodes_ = std::move(nodes);
+  for (std::uint32_t i = 0; i < cg.nodes_.size(); ++i) {
+    for (const CallSite& cs : cg.nodes_[i].callsites) {
+      if (cs.callee == kNoNode) continue;
+      auto& callers = cg.nodes_[cs.callee].callers;
+      if (std::find(callers.begin(), callers.end(), i) == callers.end()) callers.push_back(i);
+    }
   }
   for (CGNode& n : cg.nodes_) n.is_root = n.callers.empty();
 
@@ -45,6 +74,7 @@ CallGraph CallGraph::build(const ir::Program& program) {
       if (edge < cg.nodes_[n].callsites.size()) {
         const std::uint32_t next = cg.nodes_[n].callsites[edge].callee;
         ++edge;
+        if (next == kNoNode) continue;
         if (color[next] == 1) {
           cg.has_cycle_ = true;
         } else if (color[next] == 0) {
@@ -86,7 +116,9 @@ std::vector<std::uint32_t> CallGraph::preorder() const {
     if (seen[n]) return;
     seen[n] = true;
     order.push_back(n);
-    for (const CallSite& cs : nodes_[n].callsites) self(self, cs.callee);
+    for (const CallSite& cs : nodes_[n].callsites) {
+      if (cs.callee != kNoNode) self(self, cs.callee);
+    }
   };
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].is_root) visit(visit, i);
@@ -102,7 +134,7 @@ std::vector<std::uint32_t> CallGraph::bottom_up() const {
     if (state[n] != 0) return;  // grey (cycle) or done
     state[n] = 1;
     for (const CallSite& cs : nodes_[n].callsites) {
-      if (state[cs.callee] == 0) self(self, cs.callee);
+      if (cs.callee != kNoNode && state[cs.callee] == 0) self(self, cs.callee);
     }
     state[n] = 2;
     order.push_back(n);

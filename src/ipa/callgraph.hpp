@@ -1,8 +1,11 @@
 // The IPA call graph: "each node in this graph represents a procedure and
 // the caller-callee relationships are expressed by the edges. This call
 // graph should be traversed to extract the necessary array analysis
-// information" (§IV-A). Each node carries the procedure's WHIRL tree and
-// symbol-table handle, as in Fig 4 / Algorithm 1.
+// information" (§IV-A). Each node carries the procedure's symbol-table
+// handle and defining file, plus its WHIRL tree when built from a
+// whole-program compile (Fig 4 / Algorithm 1). The serve engine's link
+// phase builds the same graph from per-unit summaries (no WHIRL), so call
+// sites carry their actuals pre-digested rather than as CALL nodes.
 #pragma once
 
 #include <cstdint>
@@ -11,26 +14,56 @@
 #include <vector>
 
 #include "ir/program.hpp"
+#include "regions/linexpr.hpp"
 
 namespace ara::ipa {
 
+/// One call-site actual argument, digested for formal->actual mapping: a
+/// whole-array actual, an affine scalar over the caller's variables, or
+/// neither (absent or untranslatable).
+struct Actual {
+  ir::StIdx array = ir::kInvalidSt;
+  std::optional<regions::LinExpr> affine;
+
+  friend bool operator==(const Actual&, const Actual&) = default;
+};
+
+/// Digests a CALL node's actuals by position. The one helper behind both
+/// CallGraph::build and the serve engine's unit summaries, so the two
+/// graphs carry identical actuals.
+[[nodiscard]] std::vector<Actual> digest_actuals(const ir::WN& call,
+                                                 const ir::SymbolTable& symtab);
+
+/// Callee slot of a call site whose target is not in the graph: in a single
+/// unit's graph, a call to a procedure another unit defines; in a degraded
+/// batch link, a call whose defining unit failed to analyze.
+inline constexpr std::uint32_t kNoNode = 0xffffffffu;
+
 struct CallSite {
-  const ir::WN* call = nullptr;  // the CALL node
-  std::uint32_t callee = 0;      // index into CallGraph::nodes()
-  SourceLoc loc;
+  std::uint32_t callee = kNoNode;  // index into CallGraph::nodes()
+  std::uint32_t line = 0;
+  std::vector<Actual> actuals;     // by position
+  std::string unresolved;          // lowercase callee name when callee == kNoNode
+
+  friend bool operator==(const CallSite&, const CallSite&) = default;
 };
 
 struct CGNode {
   ir::StIdx proc_st = ir::kInvalidSt;
-  const ir::ProcedureIR* proc = nullptr;
-  std::vector<CallSite> callsites;     // out-edges, in source order
-  std::vector<std::uint32_t> callers;  // in-edges (node indices, deduplicated)
-  bool is_root = false;                // no callers (program entry)
+  FileId file = kInvalidFileId;           // defining translation unit
+  const ir::ProcedureIR* proc = nullptr;  // WHIRL; null in a graph linked from summaries
+  std::vector<CallSite> callsites;        // out-edges, in source order
+  std::vector<std::uint32_t> callers;     // in-edges (node indices, deduplicated)
+  bool is_root = false;                   // no callers (program entry)
 };
 
 class CallGraph {
  public:
   [[nodiscard]] static CallGraph build(const ir::Program& program);
+
+  /// Completes a graph whose nodes and resolved call sites are given:
+  /// derives callers, roots and the cycle flag exactly as build() does.
+  [[nodiscard]] static CallGraph from_nodes(std::vector<CGNode> nodes);
 
   [[nodiscard]] const std::vector<CGNode>& nodes() const { return nodes_; }
   [[nodiscard]] const CGNode& node(std::uint32_t i) const { return nodes_.at(i); }

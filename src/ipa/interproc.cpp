@@ -1,8 +1,8 @@
 #include "ipa/interproc.hpp"
 
 #include <algorithm>
+#include <tuple>
 
-#include "ipa/wn_affine.hpp"
 #include "obs/provenance.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
@@ -10,12 +10,6 @@
 
 namespace ara::ipa {
 
-ARA_STATISTIC(stat_summaries_propagated, "ipa.summaries_propagated",
-              "Callee side-effect summaries translated into callers");
-ARA_STATISTIC(stat_callsites, "ipa.callsites_translated", "Call sites translated");
-ARA_STATISTIC(stat_passes, "ipa.propagation_passes", "Bottom-up propagation passes run");
-ARA_STATISTIC(stat_interproc_records, "ipa.interproc_records",
-              "IDEF/IUSE records generated from callee effects");
 ARA_STATISTIC(stat_unprojected_dims, "regions.unprojected_dims",
               "Declared/translated dimensions left UNPROJECTED");
 
@@ -25,25 +19,50 @@ using regions::DimAccess;
 using regions::LinExpr;
 using regions::Region;
 
-InterprocAnalyzer::CalleeInfo InterprocAnalyzer::collect_info(ir::StIdx proc_st) const {
-  CalleeInfo info;
-  std::vector<std::pair<std::uint32_t, ir::StIdx>> formals;
-  for (ir::StIdx idx : program_.symtab.all_sts()) {
-    const ir::St& st = program_.symtab.st(idx);
-    if (st.owner_proc != proc_st) continue;
-    const bool is_array = program_.symtab.ty(st.ty).is_array();
+namespace {
+
+/// What a call site needs to know about its callee's symbols.
+struct CalleeInfo {
+  std::vector<ir::StIdx> formals;                          // by position (0-based)
+  std::map<std::string, std::size_t> formal_scalar_pos;   // lowercase name -> position
+  std::map<std::string, bool, std::less<>> local_scalar;  // lowercase names of local scalars
+};
+
+/// Callee info for every node, from one pass over the symbol table grouped
+/// by owning procedure.
+std::vector<CalleeInfo> callee_infos(const ir::Program& program, const CallGraph& cg) {
+  std::map<ir::StIdx, std::uint32_t> node_of;
+  for (std::uint32_t i = 0; i < cg.size(); ++i) node_of.emplace(cg.node(i).proc_st, i);
+  std::vector<CalleeInfo> infos(cg.size());
+  std::vector<std::vector<std::pair<std::uint32_t, ir::StIdx>>> formals(cg.size());
+  for (ir::StIdx idx : program.symtab.all_sts()) {
+    const ir::St& st = program.symtab.st(idx);
+    if (st.owner_proc == ir::kInvalidSt) continue;
+    const auto node = node_of.find(st.owner_proc);
+    if (node == node_of.end()) continue;
+    CalleeInfo& info = infos[node->second];
+    const bool is_array = program.symtab.ty(st.ty).is_array();
     if (st.storage == ir::StStorage::Formal) {
-      formals.emplace_back(st.formal_pos, idx);
+      formals[node->second].emplace_back(st.formal_pos, idx);
       if (!is_array) info.formal_scalar_pos[to_lower(st.name)] = st.formal_pos - 1;
     } else if (st.storage == ir::StStorage::Local && !is_array) {
       info.local_scalar[to_lower(st.name)] = true;
     }
   }
-  std::sort(formals.begin(), formals.end());
-  for (const auto& [pos, idx] : formals) info.formals.push_back(idx);
-  return info;
+  for (std::uint32_t i = 0; i < cg.size(); ++i) {
+    std::sort(formals[i].begin(), formals[i].end());
+    for (const auto& [pos, idx] : formals[i]) infos[i].formals.push_back(idx);
+  }
+  return infos;
 }
 
+/// Rewrites one callee region into a caller's context. `subst` maps callee
+/// formal-scalar names to the actual argument's affine value (or nullopt
+/// when the actual is not affine); names in `callee_locals` are meaningless
+/// to the caller and poison their bound to UNPROJECTED. When `prov` is
+/// non-null (the final IDEF/IUSE generation sweep, never the fixed-point
+/// passes), every poisoned or inherited-imprecise dimension is attributed
+/// to the provenance ledger.
 Region translate_region(const Region& r,
                         const std::map<std::string, std::optional<LinExpr>, std::less<>>& subst,
                         const std::map<std::string, bool, std::less<>>& callee_locals,
@@ -101,19 +120,24 @@ Region translate_region(const Region& r,
   return out;
 }
 
-InterprocResult InterprocAnalyzer::run(const std::vector<LocalSummary>& locals) const {
-  InterprocResult result;
-  result.side_effects.resize(cg_.size());
-  for (std::size_t i = 0; i < cg_.size(); ++i) {
-    result.side_effects[i] = locals[i].side_effects;
-  }
+/// The actual of a position the call site does not supply.
+const Actual kAbsent{};
 
-  std::vector<CalleeInfo> infos;
-  infos.reserve(cg_.size());
-  for (std::uint32_t i = 0; i < cg_.size(); ++i) infos.push_back(collect_info(cg_.node(i).proc_st));
+/// Records that `formal` is bound to `actual` at some call site; a second,
+/// different actual makes the binding ambiguous.
+void bind(std::map<ir::StIdx, ir::StIdx>& binding, ir::StIdx formal, ir::StIdx actual) {
+  const auto [it, inserted] = binding.emplace(formal, actual);
+  if (!inserted && it->second != actual) it->second = ir::kInvalidSt;
+}
 
-  const std::vector<std::uint32_t> order = cg_.bottom_up();
-  const int max_passes = cg_.has_cycle() ? 5 : 1;
+}  // namespace
+
+Propagation propagate(const ir::Program& program, const CallGraph& cg,
+                      const std::vector<SideEffects>& local_effects) {
+  const ir::SymbolTable& symtab = program.symtab;
+  Propagation result;
+  result.side_effects = local_effects;
+  const std::vector<CalleeInfo> infos = callee_infos(program, cg);
 
   // One call-site translation: map the callee's (array, mode) effects into
   // the caller's symbols; returns the translated effects. `attribute` turns
@@ -122,58 +146,33 @@ InterprocResult InterprocAnalyzer::run(const std::vector<LocalSummary>& locals) 
   auto translate_call = [&](std::uint32_t caller, const CallSite& cs, bool attribute)
       -> std::vector<std::tuple<ir::StIdx, AccessMode, ModeRegions>> {
     std::vector<std::tuple<ir::StIdx, AccessMode, ModeRegions>> out;
-    stat_callsites.bump();
+    ++result.callsites_translated;
     const CalleeInfo& callee_info = infos[cs.callee];
-
-    // Actual arguments by position.
-    std::vector<const ir::WN*> actuals;
-    for (std::size_t i = 0; i < cs.call->kid_count(); ++i) {
-      const ir::WN* parm = cs.call->kid(i);
-      actuals.push_back(parm->kid_count() > 0 ? parm->kid(0) : nullptr);
-    }
+    auto actual = [&](std::size_t pos) -> const Actual& {
+      return pos < cs.actuals.size() ? cs.actuals[pos] : kAbsent;
+    };
 
     // Formal-scalar substitution environment.
     std::map<std::string, std::optional<LinExpr>, std::less<>> subst;
-    for (const auto& [name, pos] : callee_info.formal_scalar_pos) {
-      if (pos < actuals.size() && actuals[pos] != nullptr) {
-        subst[name] = wn_to_affine(*actuals[pos], program_.symtab);
-      } else {
-        subst[name] = std::nullopt;
-      }
-    }
+    for (const auto& [name, pos] : callee_info.formal_scalar_pos) subst[name] = actual(pos).affine;
 
     for (const auto& [key, mr] : result.side_effects[cs.callee].effects) {
       const auto& [callee_st, mode] = key;
-      const ir::St& st = program_.symtab.st(callee_st);
+      const ir::St& st = symtab.st(callee_st);
       ir::StIdx caller_st = ir::kInvalidSt;
       if (st.storage == ir::StStorage::Global) {
         caller_st = callee_st;
       } else if (st.storage == ir::StStorage::Formal) {
-        const std::size_t pos = st.formal_pos - 1;
-        if (pos < actuals.size() && actuals[pos] != nullptr) {
-          const ir::WN* a = actuals[pos];
-          if ((a->opr() == ir::Opr::Lda || a->opr() == ir::Opr::Ldid) &&
-              a->st_idx() != ir::kInvalidSt &&
-              program_.symtab.ty(program_.symtab.st(a->st_idx()).ty).is_array()) {
-            caller_st = a->st_idx();
-            if (program_.symtab.ty(st.ty).is_array()) {
-              const auto it = result.formal_binding.find(callee_st);
-              if (it == result.formal_binding.end()) {
-                result.formal_binding[callee_st] = caller_st;
-              } else if (it->second != caller_st) {
-                it->second = ir::kInvalidSt;  // ambiguous
-              }
-            }
-          }
+        caller_st = actual(st.formal_pos - 1).array;
+        if (caller_st != ir::kInvalidSt && symtab.ty(st.ty).is_array()) {
+          bind(result.formal_binding, callee_st, caller_st);
         }
       }
       if (caller_st == ir::kInvalidSt) continue;
 
-      const obs::ProvCtx ctx{program_.symtab.st(cg_.node(caller).proc_st).name,
-                             program_.symtab.st(caller_st).name,
-                             program_.sources.name(cg_.node(caller).proc->file), cs.loc.line};
-      const obs::ProvCtx* prov =
-          attribute && obs::prov_capturing() ? &ctx : nullptr;
+      const obs::ProvCtx ctx{symtab.st(cg.node(caller).proc_st).name, symtab.st(caller_st).name,
+                             program.sources.name(cg.node(caller).file), cs.line};
+      const obs::ProvCtx* prov = attribute && obs::prov_capturing() ? &ctx : nullptr;
       ModeRegions translated;
       translated.refs = mr.refs;
       for (const Region& r : mr.regions) {
@@ -185,17 +184,20 @@ InterprocResult InterprocAnalyzer::run(const std::vector<LocalSummary>& locals) 
       }
       out.emplace_back(caller_st, mode, std::move(translated));
     }
-    stat_summaries_propagated.bump(out.size());
+    result.summaries_propagated += out.size();
     return out;
   };
 
+  const std::vector<std::uint32_t> order = cg.bottom_up();
+  const int max_passes = cg.has_cycle() ? 5 : 1;
   for (int pass = 0; pass < max_passes; ++pass) {
-    stat_passes.bump();
+    ++result.passes;
     bool changed = false;
     for (std::uint32_t n : order) {
-      obs::Span proc_span(program_.symtab.st(cg_.node(n).proc_st).name, "ipa");
-      SideEffects next = locals[n].side_effects;
-      for (const CallSite& cs : cg_.node(n).callsites) {
+      obs::Span proc_span(symtab.st(cg.node(n).proc_st).name, "ipa");
+      SideEffects next = local_effects[n];
+      for (const CallSite& cs : cg.node(n).callsites) {
+        if (cs.callee == kNoNode) continue;
         for (auto& [st, mode, mr] : translate_call(n, cs, false)) {
           next.effects[{st, mode}].merge_all(mr);
         }
@@ -210,34 +212,24 @@ InterprocResult InterprocAnalyzer::run(const std::vector<LocalSummary>& locals) 
 
   // Also record formal bindings for call sites whose callee never touches the
   // formal (pure pass-through): walk all call sites once more.
-  for (std::uint32_t n = 0; n < cg_.size(); ++n) {
-    for (const CallSite& cs : cg_.node(n).callsites) {
-      const CalleeInfo& info = infos[cs.callee];
-      for (std::size_t pos = 0; pos < info.formals.size(); ++pos) {
-        const ir::StIdx formal = info.formals[pos];
-        if (!program_.symtab.ty(program_.symtab.st(formal).ty).is_array()) continue;
-        std::size_t parm_index = pos;
-        if (parm_index >= cs.call->kid_count()) continue;
-        const ir::WN* parm = cs.call->kid(parm_index);
-        const ir::WN* a = parm->kid_count() > 0 ? parm->kid(0) : nullptr;
-        if (a == nullptr) continue;
-        if ((a->opr() == ir::Opr::Lda || a->opr() == ir::Opr::Ldid) &&
-            a->st_idx() != ir::kInvalidSt &&
-            program_.symtab.ty(program_.symtab.st(a->st_idx()).ty).is_array()) {
-          const auto it = result.formal_binding.find(formal);
-          if (it == result.formal_binding.end()) {
-            result.formal_binding[formal] = a->st_idx();
-          } else if (it->second != a->st_idx()) {
-            it->second = ir::kInvalidSt;
-          }
+  for (const CGNode& node : cg.nodes()) {
+    for (const CallSite& cs : node.callsites) {
+      if (cs.callee == kNoNode) continue;
+      const std::vector<ir::StIdx>& formals = infos[cs.callee].formals;
+      for (std::size_t pos = 0; pos < formals.size() && pos < cs.actuals.size(); ++pos) {
+        if (cs.actuals[pos].array == ir::kInvalidSt ||
+            !symtab.ty(symtab.st(formals[pos]).ty).is_array()) {
+          continue;
         }
+        bind(result.formal_binding, formals[pos], cs.actuals[pos].array);
       }
     }
   }
 
   // Generate IDEF/IUSE rows per call site from the callee's final effects.
-  for (std::uint32_t n = 0; n < cg_.size(); ++n) {
-    for (const CallSite& cs : cg_.node(n).callsites) {
+  for (std::uint32_t n = 0; n < cg.size(); ++n) {
+    for (const CallSite& cs : cg.node(n).callsites) {
+      if (cs.callee == kNoNode) continue;
       for (auto& [st, mode, mr] : translate_call(n, cs, true)) {
         bool first = true;
         for (Region& r : mr.regions) {
@@ -248,10 +240,9 @@ InterprocResult InterprocAnalyzer::run(const std::vector<LocalSummary>& locals) 
           rec.region = std::move(r);
           rec.refs = first ? mr.refs : 0;
           first = false;
-          rec.scope_proc = cg_.node(n).proc_st;
-          rec.file = cg_.node(cs.callee).proc->file;
-          rec.line = cs.loc.line;
-          stat_interproc_records.bump();
+          rec.scope_proc = cg.node(n).proc_st;
+          rec.file = cg.node(cs.callee).file;
+          rec.line = cs.line;
           result.interproc_records.push_back(std::move(rec));
         }
       }
@@ -260,9 +251,8 @@ InterprocResult InterprocAnalyzer::run(const std::vector<LocalSummary>& locals) 
   return result;
 }
 
-std::uint64_t InterprocAnalyzer::resolve_addr(
-    ir::StIdx st, const ir::Program& program,
-    const std::map<ir::StIdx, ir::StIdx>& formal_binding) {
+std::uint64_t resolve_addr(ir::StIdx st, const ir::Program& program,
+                           const std::map<ir::StIdx, ir::StIdx>& formal_binding) {
   ir::StIdx cur = st;
   for (int depth = 0; depth < 16; ++depth) {
     const ir::St& sym = program.symtab.st(cur);

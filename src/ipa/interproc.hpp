@@ -7,64 +7,46 @@
 // substituted with the actual argument expressions. The per-call-site
 // results are the IDEF/IUSE rows of Fig 1. Recursion is handled by iterating
 // to a fixpoint (region lists are bounded, so this terminates).
+//
+// This is the only propagation: the whole-program analyzer runs it over the
+// graph CallGraph::build makes from WHIRL, and the serve engine's link phase
+// over the same graph type rebuilt from unit summaries.
 #pragma once
 
 #include <map>
 
 #include "ipa/callgraph.hpp"
-#include "ipa/local.hpp"
+#include "ipa/summary.hpp"
 
 namespace ara::ipa {
 
-/// Rewrites one callee region into a caller's context. `subst` maps callee
-/// formal-scalar names to the actual argument's affine value (or nullopt
-/// when the actual is not affine); names in `callee_locals` are meaningless
-/// to the caller and poison their bound to UNPROJECTED. Shared by the
-/// in-memory IPA below and the serve engine's summary-based link phase —
-/// both must translate regions identically for their outputs to agree.
-/// When `prov` is non-null (the final IDEF/IUSE generation sweep, never the
-/// fixed-point passes), every poisoned or inherited-imprecise dimension is
-/// attributed to the provenance ledger.
-[[nodiscard]] regions::Region translate_region(
-    const regions::Region& r,
-    const std::map<std::string, std::optional<regions::LinExpr>, std::less<>>& subst,
-    const std::map<std::string, bool, std::less<>>& callee_locals,
-    const obs::ProvCtx* prov = nullptr);
-
-struct InterprocResult {
+struct Propagation {
   /// Transitive side effects per call-graph node index.
   std::vector<SideEffects> side_effects;
   /// IDEF/IUSE records generated at call sites (caller scope).
   std::vector<AccessRecord> interproc_records;
-  /// Formal array -> the one actual array bound to it (when unambiguous);
-  /// used to resolve a FORMAL row's Mem_Loc to the actual's address.
+  /// Formal array -> the one actual array bound to it (kInvalidSt when
+  /// ambiguous); used to resolve a FORMAL row's Mem_Loc to the actual's
+  /// address.
   std::map<ir::StIdx, ir::StIdx> formal_binding;
+  /// Work done, for the caller's own counters: call-site translations
+  /// (fixed-point passes and the record sweep), callee (array, mode)
+  /// summaries they produced, and fixed-point passes.
+  std::uint64_t callsites_translated = 0;
+  std::uint64_t summaries_propagated = 0;
+  std::uint64_t passes = 0;
 };
 
-class InterprocAnalyzer {
- public:
-  InterprocAnalyzer(const ir::Program& program, const CallGraph& cg)
-      : program_(program), cg_(cg) {}
+/// Runs the bottom-up propagation from each node's local side effects
+/// (`local_effects[i]` belongs to node i, exactly as local analysis
+/// produced it). `program` supplies the symbols the graph's StIdx values
+/// name; no WHIRL tree is read.
+[[nodiscard]] Propagation propagate(const ir::Program& program, const CallGraph& cg,
+                                    const std::vector<SideEffects>& local_effects);
 
-  [[nodiscard]] InterprocResult run(const std::vector<LocalSummary>& locals) const;
-
-  /// Resolves a formal's storage address by chasing its (unambiguous)
-  /// actual-binding chain; 0 when unbound or ambiguous.
-  [[nodiscard]] static std::uint64_t resolve_addr(
-      ir::StIdx st, const ir::Program& program,
-      const std::map<ir::StIdx, ir::StIdx>& formal_binding);
-
- private:
-  struct CalleeInfo {
-    std::vector<ir::StIdx> formals;               // by position (0-based)
-    std::map<std::string, std::size_t> formal_scalar_pos;  // lowercase name -> position
-    std::map<std::string, bool, std::less<>> local_scalar;  // lowercase names of local scalars
-  };
-
-  [[nodiscard]] CalleeInfo collect_info(ir::StIdx proc_st) const;
-
-  const ir::Program& program_;
-  const CallGraph& cg_;
-};
+/// Resolves a formal's storage address by chasing its (unambiguous)
+/// actual-binding chain; 0 when unbound or ambiguous.
+[[nodiscard]] std::uint64_t resolve_addr(ir::StIdx st, const ir::Program& program,
+                                         const std::map<ir::StIdx, ir::StIdx>& formal_binding);
 
 }  // namespace ara::ipa

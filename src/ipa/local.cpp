@@ -96,10 +96,10 @@ LocalSummary LocalAnalyzer::analyze(const CGNode& node) const {
     rec.mode = AccessMode::Formal;
     rec.region = declared_region(symtab.ty(st.ty));
     rec.scope_proc = node.proc_st;
-    rec.file = node.proc->file;
+    rec.file = node.file;
     rec.line = st.loc.line;
     note_unknown_extents(rec.region, {symtab.st(node.proc_st).name, st.name,
-                                      program_.sources.name(node.proc->file), st.loc.line});
+                                      program_.sources.name(node.file), st.loc.line});
     add_record(std::move(rec), walk);
   }
 
@@ -122,7 +122,7 @@ void LocalAnalyzer::add_record(AccessRecord rec, Walk& walk) const {
   if (visible && (rec.mode == AccessMode::Def || rec.mode == AccessMode::Use)) {
     // Attribution for any union widening/drop the merge performs.
     obs::ProvScope scope({program_.symtab.st(walk.node->proc_st).name, st.name,
-                          program_.sources.name(walk.node->proc->file), rec.line});
+                          program_.sources.name(walk.node->file), rec.line});
     walk.out.side_effects.effects[{rec.array, rec.mode}].merge(rec.region, rec.refs);
   }
   stat_access_records.bump();
@@ -202,7 +202,7 @@ void LocalAnalyzer::record_scalar(const ir::WN& wn, AccessMode mode, Walk& walk)
   rec.mode = mode;
   rec.region = Region{};  // rank 0
   rec.scope_proc = walk.node->proc_st;
-  rec.file = walk.node->proc->file;
+  rec.file = walk.node->file;
   rec.line = wn.linenum().line;
   add_record(std::move(rec), walk);
 }
@@ -321,7 +321,7 @@ void LocalAnalyzer::record_array(const ir::WN& arr, AccessMode mode, Walk& walk,
   rec.array = array_st;
   rec.mode = mode;
   rec.scope_proc = walk.node->proc_st;
-  rec.file = walk.node->proc->file;
+  rec.file = walk.node->file;
   rec.line = arr.linenum().line;
   if (image != nullptr) {
     rec.remote = true;
@@ -331,7 +331,7 @@ void LocalAnalyzer::record_array(const ir::WN& arr, AccessMode mode, Walk& walk,
 
   const obs::ProvCtx prov{program_.symtab.st(walk.node->proc_st).name,
                           program_.symtab.st(array_st).name,
-                          program_.sources.name(walk.node->proc->file), arr.linenum().line};
+                          program_.sources.name(walk.node->file), arr.linenum().line};
 
   for (std::size_t i = 0; i < n; ++i) {
     // Source dimension i corresponds to row-major kid i for C, reversed for
@@ -389,12 +389,12 @@ void LocalAnalyzer::record_call(const ir::WN& call, Walk& walk) const {
       rec.mode = AccessMode::Passed;
       rec.region = declared_region(program_.symtab.ty(program_.symtab.st(arg->st_idx()).ty));
       rec.scope_proc = walk.node->proc_st;
-      rec.file = walk.node->proc->file;
+      rec.file = walk.node->file;
       rec.line = call.linenum().line;
       note_unknown_extents(rec.region,
                            {program_.symtab.st(walk.node->proc_st).name,
                             program_.symtab.st(arg->st_idx()).name,
-                            program_.sources.name(walk.node->proc->file), rec.line});
+                            program_.sources.name(walk.node->file), rec.line});
       add_record(std::move(rec), walk);
       continue;
     }

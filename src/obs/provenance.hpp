@@ -87,8 +87,10 @@ struct ProvSinkState {
   std::uint32_t unit = 0;
   std::uint32_t seq = 0;
 };
-extern thread_local ProvSinkState t_prov_sink;
-extern thread_local const ProvCtx* t_prov_ctx;
+// constinit: statically initialized, so reads from other translation units
+// go straight to the TLS slot instead of through an init wrapper.
+extern constinit thread_local ProvSinkState t_prov_sink;
+extern constinit thread_local const ProvCtx* t_prov_ctx;
 }  // namespace detail
 
 /// True while a ProvSink is installed on this thread. Sites that build a

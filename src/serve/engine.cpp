@@ -59,8 +59,6 @@ namespace {
 std::string flags_string(const BatchOptions& opts) {
   std::string flags = "ipa=";
   flags += opts.interprocedural ? '1' : '0';
-  flags += ";scalars=";
-  flags += opts.include_scalars ? '1' : '0';
   return flags;
 }
 
@@ -430,7 +428,6 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
 
   LinkOptions lopts;
   lopts.interprocedural = opts.interprocedural;
-  lopts.include_scalars = opts.include_scalars;
   lopts.degraded = result.failed_units > 0;
   lopts.layout = opts.layout;
   std::vector<obs::ProvRecord> link_prov;

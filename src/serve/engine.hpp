@@ -38,7 +38,6 @@ struct BatchOptions {
   std::string cache_dir;  // empty = caching disabled
   bool use_cache = true;  // false = --no-cache (ignore and don't write entries)
   bool interprocedural = true;
-  bool include_scalars = true;
   /// Per-unit resource guards, installed around each unit task (LimitScope).
   support::ResourceLimits limits;
   ir::LayoutOptions layout;

@@ -13,6 +13,11 @@
 // and the static data layout — and hence every byte of the .rgn output —
 // independent of how many workers produced the summaries and of whether
 // they came from the cache.
+//
+// From the replayed table the link builds the same ipa::CallGraph the
+// monolithic pipeline builds from WHIRL and runs the one ipa::propagate,
+// ipa::build_rows and ipa::build_dgn_project over it; only the symbol
+// replay is its own.
 #pragma once
 
 #include <map>
@@ -30,7 +35,6 @@ namespace ara::serve {
 
 struct LinkOptions {
   bool interprocedural = true;
-  bool include_scalars = true;
   /// Degraded mode: some units failed to analyze and were dropped, so the
   /// survivors may legitimately call procedures no remaining unit defines.
   /// Unresolved externs are then warnings (the call's effects are simply
@@ -45,6 +49,9 @@ struct LinkResult {
   /// Reconstructed whole-program symbol table + sources (no WHIRL trees).
   std::unique_ptr<ir::Program> program;
   DiagnosticEngine diags;
+  /// The linked call graph (no WHIRL: CGNode::proc is null); equal to the
+  /// graph CallGraph::build makes from the whole-program compile.
+  ipa::CallGraph callgraph;
   std::vector<rgn::RegionRow> rows;
   rgn::DgnProject project;
   std::string cfg_text;

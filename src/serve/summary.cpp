@@ -6,7 +6,6 @@
 #include "ipa/callgraph.hpp"
 #include "ipa/local.hpp"
 #include "ipa/summary_io.hpp"
-#include "ipa/wn_affine.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::serve {
@@ -116,24 +115,20 @@ std::optional<std::vector<SymDim>> read_dims(std::string_view tok) {
   return out;
 }
 
-std::string write_actual(const ActualSummary& a) {
-  if (!a.present) return "-";
-  if (a.is_array) return "a:" + std::to_string(a.array_sym);
+std::string write_actual(const ipa::Actual& a) {
+  if (a.array != ir::kInvalidSt) return "a:" + std::to_string(a.array - 1);
   if (a.affine) return "e:" + io::write_linexpr(*a.affine);
   return "u";
 }
 
-std::optional<ActualSummary> read_actual(std::string_view tok) {
-  ActualSummary a;
-  if (tok == "-") return a;
-  a.present = true;
+std::optional<ipa::Actual> read_actual(std::string_view tok, std::size_t nsyms) {
+  ipa::Actual a;
   if (tok == "u") return a;
   if (tok.size() >= 2 && tok[1] == ':') {
     if (tok[0] == 'a') {
       const auto v = io::read_u64(tok.substr(2));
-      if (!v || *v > 0xffffffffULL) return std::nullopt;
-      a.is_array = true;
-      a.array_sym = static_cast<std::uint32_t>(*v);
+      if (!v || *v >= nsyms) return std::nullopt;
+      a.array = static_cast<ir::StIdx>(*v + 1);
       return a;
     }
     if (tok[0] == 'e') {
@@ -281,37 +276,13 @@ UnitSummary summarize_unit(const ir::Program& program,
       proc.effects.push_back(EffectSummary{key.first - 1, key.second, mr});
     }
 
-    // Call sites in tree-walk order, matching CallGraph::build — but also
-    // including calls to extern procedures, which the whole-program call
-    // graph would have resolved to their defining unit.
-    if (node.proc != nullptr && node.proc->tree) {
-      node.proc->tree->walk([&](const ir::WN& wn) {
-        if (wn.opr() != ir::Opr::Call || wn.st_idx() == ir::kInvalidSt) return true;
-        const ir::St& callee = program.symtab.st(wn.st_idx());
-        if (callee.sclass != ir::StClass::Proc) return true;
-        CallSummary cs;
-        cs.callee = to_lower(callee.name);
-        cs.line = wn.linenum().line;
-        for (std::size_t k = 0; k < wn.kid_count(); ++k) {
-          const ir::WN* parm = wn.kid(k);
-          const ir::WN* actual = parm->kid_count() > 0 ? parm->kid(0) : nullptr;
-          ActualSummary a;
-          if (actual != nullptr) {
-            a.present = true;
-            if ((actual->opr() == ir::Opr::Lda || actual->opr() == ir::Opr::Ldid) &&
-                actual->st_idx() != ir::kInvalidSt &&
-                program.symtab.ty(program.symtab.st(actual->st_idx()).ty).is_array()) {
-              a.is_array = true;
-              a.array_sym = actual->st_idx() - 1;
-            } else {
-              a.affine = ipa::wn_to_affine(*actual, program.symtab);
-            }
-          }
-          cs.actuals.push_back(std::move(a));
-        }
-        proc.callsites.push_back(std::move(cs));
-        return true;
-      });
+    // Call sites as CallGraph::build collected them; a call to another
+    // unit's procedure is unresolved here and resolved by name at link.
+    for (const ipa::CallSite& cs : node.callsites) {
+      std::string callee = cs.callee != ipa::kNoNode
+                               ? to_lower(program.symtab.st(cg.node(cs.callee).proc_st).name)
+                               : cs.unresolved;
+      proc.callsites.push_back(CallSummary{std::move(callee), cs.line, cs.actuals});
     }
     unit.procs.push_back(std::move(proc));
   }
@@ -360,7 +331,7 @@ std::string write_unit_summary(const UnitSummary& unit) {
     }
     for (const CallSummary& c : p.callsites) {
       os << "call " << io::enc(c.callee) << ' ' << c.line << ' ' << c.actuals.size();
-      for (const ActualSummary& a : c.actuals) os << ' ' << write_actual(a);
+      for (const ipa::Actual& a : c.actuals) os << ' ' << write_actual(a);
       os << '\n';
     }
   }
@@ -519,9 +490,8 @@ std::optional<UnitSummary> parse_unit_summary(std::string_view text) {
       if (ct.size() != 4 + nact) return std::nullopt;
       cs.callee = *callee;
       for (std::size_t a = 0; a < nact; ++a) {
-        auto act = read_actual(ct[4 + a]);
+        auto act = read_actual(ct[4 + a], unit.symbols.size());
         if (!act) return std::nullopt;
-        if (act->is_array && act->array_sym >= unit.symbols.size()) return std::nullopt;
         cs.actuals.push_back(std::move(*act));
       }
       p.callsites.push_back(std::move(cs));

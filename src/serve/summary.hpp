@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "frontend/sema.hpp"
+#include "ipa/callgraph.hpp"
 #include "ipa/summary.hpp"
 #include "ir/program.hpp"
 #include "obs/provenance.hpp"
@@ -85,22 +86,14 @@ struct EffectSummary {
   ipa::ModeRegions regions;
 };
 
-/// One call-site actual argument, pre-digested for formal->actual
-/// translation: either an array symbol, an affine scalar expression over
-/// the caller's variables, or neither (present but untranslatable).
-struct ActualSummary {
-  bool present = false;
-  bool is_array = false;
-  std::uint32_t array_sym = 0;  // valid when is_array
-  std::optional<regions::LinExpr> affine;
-};
-
 /// One call site, in WHIRL tree-walk order (the order CallGraph::build
-/// collects them, so link-phase propagation visits call sites identically).
+/// collects them, so the linked call graph visits call sites identically).
+/// `actuals` come from ipa::digest_actuals; an array actual names its unit
+/// StIdx (UnitSummary::symbols index + 1).
 struct CallSummary {
   std::string callee;  // lowercase name
   std::uint32_t line = 0;
-  std::vector<ActualSummary> actuals;
+  std::vector<ipa::Actual> actuals;
 };
 
 /// One procedure's summary. `sym` indexes the procedure's own entry in

@@ -47,8 +47,8 @@ TEST(CallGraph, CallSitesKeepSourceLines) {
   const CallGraph cg = CallGraph::build(c->program);
   const auto main_idx = cg.find("main", c->program);
   ASSERT_TRUE(main_idx.has_value());
-  EXPECT_EQ(cg.node(*main_idx).callsites[0].loc.line, 2u);
-  EXPECT_EQ(cg.node(*main_idx).callsites[1].loc.line, 3u);
+  EXPECT_EQ(cg.node(*main_idx).callsites[0].line, 2u);
+  EXPECT_EQ(cg.node(*main_idx).callsites[1].line, 3u);
 }
 
 TEST(CallGraph, PreorderStartsAtRoots) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/compile.hpp"
+#include "ipa/local.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::ipa {
@@ -17,7 +18,7 @@ struct Analyzed {
   ir::Program program;
   DiagnosticEngine diags{nullptr};
   CallGraph cg;
-  InterprocResult result;
+  Propagation result;
 };
 
 std::unique_ptr<Analyzed> analyze(const std::string& text) {
@@ -26,12 +27,11 @@ std::unique_ptr<Analyzed> analyze(const std::string& text) {
   EXPECT_TRUE(fe::compile_program(out->program, out->diags)) << out->diags.render();
   out->cg = CallGraph::build(out->program);
   LocalAnalyzer local(out->program);
-  std::vector<LocalSummary> locals;
+  std::vector<SideEffects> locals;
   for (std::uint32_t i = 0; i < out->cg.size(); ++i) {
-    locals.push_back(local.analyze(out->cg.node(i)));
+    locals.push_back(local.analyze(out->cg.node(i)).side_effects);
   }
-  InterprocAnalyzer inter(out->program, out->cg);
-  out->result = inter.run(locals);
+  out->result = propagate(out->program, out->cg, locals);
   return out;
 }
 
@@ -115,7 +115,7 @@ TEST(Interproc, FormalBindingResolvesAddresses) {
   }
   ASSERT_NE(formal, ir::kInvalidSt);
   ASSERT_NE(actual, ir::kInvalidSt);
-  EXPECT_EQ(InterprocAnalyzer::resolve_addr(formal, a->program, a->result.formal_binding),
+  EXPECT_EQ(resolve_addr(formal, a->program, a->result.formal_binding),
             a->program.symtab.st(actual).addr);
 }
 
@@ -236,7 +236,7 @@ TEST(Interproc, AmbiguousBindingResolvesToZero) {
     if (st.name == "v" && st.storage == ir::StStorage::Formal) formal = idx;
   }
   ASSERT_NE(formal, ir::kInvalidSt);
-  EXPECT_EQ(InterprocAnalyzer::resolve_addr(formal, a->program, a->result.formal_binding), 0u);
+  EXPECT_EQ(resolve_addr(formal, a->program, a->result.formal_binding), 0u);
 }
 
 TEST(Interproc, PassThroughFormalChainsResolve) {
@@ -264,7 +264,7 @@ TEST(Interproc, PassThroughFormalChainsResolve) {
     if (st.name == "w") w = idx;
     if (st.name == "x") x = idx;
   }
-  EXPECT_EQ(InterprocAnalyzer::resolve_addr(w, a->program, a->result.formal_binding),
+  EXPECT_EQ(resolve_addr(w, a->program, a->result.formal_binding),
             a->program.symtab.st(x).addr);
 }
 

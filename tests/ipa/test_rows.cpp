@@ -117,21 +117,6 @@ TEST(Rows, RowsAreSortedByScopeArrayAndMode) {
   }
 }
 
-TEST(Rows, ScalarOptOutDropsScalarRows) {
-  const char* text =
-      "subroutine s(n)\n"
-      "  integer :: n, v(10), i\n"
-      "  do i = 1, n\n"
-      "    v(i) = 0\n"
-      "  end do\n"
-      "end subroutine s\n";
-  AnalyzeOptions opts;
-  opts.include_scalars = false;
-  auto a = analyze(text, Language::Fortran, opts);
-  EXPECT_TRUE(rows_of(a->result, "n", "USE").empty());
-  EXPECT_FALSE(rows_of(a->result, "v", "DEF").empty());
-}
-
 TEST(Rows, NonInterprocOptionSkipsIRows) {
   const char* text =
       "subroutine callee(v)\n"

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -102,23 +105,142 @@ TEST(Batch, OutputIsIndependentOfJobCount) {
   }
 }
 
-TEST(Batch, MatchesMonolithicPipeline) {
-  // The tentpole acceptance: the batch engine's linked output must be
-  // byte-identical to the whole-program pipeline on the same sources.
-  driver::Compiler cc;
-  cc.add_source("p1.f", kP1, Language::Fortran);
-  cc.add_source("p2.f", kP2, Language::Fortran);
-  cc.add_source("add.f", kAdd, Language::Fortran);
-  ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
-  const ipa::AnalysisResult mono = cc.analyze();
+// The smallest case shrunk from a generated corpus on which the two
+// pipelines once disagreed: pc9's local USE list on gc9 overflows, and the
+// hull collapse leaves a duplicate region that the link used to merge away
+// before propagation, so the IUSE rows at hc7's call split differently.
+constexpr const char* kU7 = R"(void hc7(void) {
+  pc9();
+}
+)";
 
-  BatchOptions opts;
-  opts.jobs = 4;
-  const BatchResult batch = run_batch(fig1_units(), opts, "fig1");
-  ASSERT_TRUE(batch.ok);
-  EXPECT_EQ(rgn::write_rgn(batch.link.rows), rgn::write_rgn(mono.rows));
-  EXPECT_EQ(rgn::write_dgn(batch.link.project),
-            rgn::write_dgn(driver::build_dgn_project(cc.program(), mono, "fig1")));
+constexpr const char* kU9 = R"(double gc9[64][64];
+double t9[64];
+void hc9(void) {
+  int i, j;
+  for (j = 1; j < 63; j++) {
+    for (i = 1; i < 63; i++) {
+      gc9[i][j] = gc9[i][j - 1] * 0.5;
+    }
+  }
+}
+void pc9(void) {
+  int i, j;
+  double s;
+  for (j = 0; j < 61; j++) {
+    for (i = j; i < 64; i++) {
+      gc9[i][j] = gc9[j][i] * 0.5;
+      s = s + gc9[i][j];
+      gc9[i][j] = gc9[i - 1][j] + gc9[i + 1][j] + 0.5 * t9[i];
+      if (i > j) {
+        gc9[i + j][j] = gc9[i - j + 31][i];
+      }
+    }
+  }
+  for (j = 0; j < 64; j++) {
+    for (i = j; i < 64; i++) {
+      s = s + gc9[i][j];
+      gc9[i][j] = gc9[i - 1][j] + gc9[i + 1][j] + 0.5 * t9[i];
+    }
+    for (i = 0; i < 64; i += 2) {
+      gc9[i][j] = gc9[i][j] + gc9[i][j];
+    }
+  }
+  hc9();
+}
+)";
+
+TEST(Batch, MatchesMonolithicPipeline) {
+  // The batch engine's linked output must be byte-identical to the
+  // whole-program pipeline on the same sources, at any job count.
+  const std::vector<std::vector<SourceBuffer>> inputs = {
+      fig1_units(), {{"u7.c", kU7, Language::C}, {"u9.c", kU9, Language::C}}};
+  for (const std::vector<SourceBuffer>& sources : inputs) {
+    driver::Compiler cc;
+    for (const SourceBuffer& s : sources) cc.add_source(s.name, s.text, s.lang);
+    ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
+    const ipa::AnalysisResult mono = cc.analyze();
+    const std::string mono_rgn = rgn::write_rgn(mono.rows);
+    const std::string mono_dgn =
+        rgn::write_dgn(ipa::build_dgn_project(cc.program(), mono, "proj"));
+
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      BatchOptions opts;
+      opts.jobs = jobs;
+      const BatchResult batch = run_batch(sources, opts, "proj");
+      ASSERT_TRUE(batch.ok);
+      EXPECT_EQ(rgn::write_rgn(batch.link.rows), mono_rgn)
+          << sources.front().name << " --jobs " << jobs;
+      EXPECT_EQ(rgn::write_dgn(batch.link.project), mono_dgn)
+          << sources.front().name << " --jobs " << jobs;
+    }
+  }
+}
+
+std::vector<SourceBuffer> workload_units(const std::string& dir, const std::string& ext,
+                                         Language lang) {
+  std::vector<fs::path> paths;
+  for (const auto& e : fs::directory_iterator(fs::path(ARA_WORKLOADS_DIR) / dir)) {
+    if (e.path().extension() == ext) paths.push_back(e.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<SourceBuffer> out;
+  for (const fs::path& p : paths) {
+    std::ifstream in(p);
+    std::ostringstream text;
+    text << in.rdbuf();
+    out.push_back({p.filename().string(), text.str(), lang});
+  }
+  return out;
+}
+
+TEST(Batch, LinkedCallGraphEqualsWholeProgramGraph) {
+  // The link rebuilds ipa::CallGraph from summaries; it must be the graph
+  // CallGraph::build makes from WHIRL, down to every digested actual.
+  const std::vector<std::vector<SourceBuffer>> inputs = {
+      workload_units("lu", ".f", Language::Fortran),
+      workload_units("heat", ".c", Language::C),
+      {{"ping.f",
+        "subroutine ping(v, n)\n  integer :: n\n  double precision :: v(10)\n"
+        "  v(n) = 0.0\n  if (n .gt. 1) then\n    call pong(v, n - 1)\n  end if\n"
+        "end subroutine ping\n",
+        Language::Fortran},
+       {"pong.f",
+        "subroutine pong(w, m)\n  integer :: m\n  double precision :: w(10)\n"
+        "  w(m) = 1.0\n  call ping(w, m)\nend subroutine pong\n",
+        Language::Fortran}}};
+  std::size_t actuals = 0;
+  for (const std::vector<SourceBuffer>& sources : inputs) {
+    ASSERT_FALSE(sources.empty());
+    driver::Compiler cc;
+    for (const SourceBuffer& s : sources) cc.add_source(s.name, s.text, s.lang);
+    ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
+    const ipa::CallGraph whole = ipa::CallGraph::build(cc.program());
+
+    const BatchResult batch = run_batch(sources, BatchOptions{}, "graph");
+    ASSERT_TRUE(batch.ok);
+    const ipa::CallGraph& linked = batch.link.callgraph;
+    const std::string& input = sources.front().name;
+    ASSERT_EQ(linked.size(), whole.size()) << input;
+    EXPECT_EQ(linked.has_cycle(), whole.has_cycle()) << input;
+    EXPECT_EQ(linked.bottom_up(), whole.bottom_up()) << input;
+    for (std::uint32_t i = 0; i < whole.size(); ++i) {
+      const ipa::CGNode& w = whole.node(i);
+      const ipa::CGNode& l = linked.node(i);
+      EXPECT_EQ(l.proc_st, w.proc_st) << input << " node " << i;
+      EXPECT_EQ(l.file, w.file) << input << " node " << i;
+      EXPECT_EQ(l.callsites, w.callsites) << input << " node " << i;
+      EXPECT_EQ(l.callers, w.callers) << input << " node " << i;
+      EXPECT_EQ(l.is_root, w.is_root) << input << " node " << i;
+      EXPECT_EQ(l.proc, nullptr);
+      for (const ipa::CallSite& cs : w.callsites) actuals += cs.actuals.size();
+    }
+    EXPECT_GT(linked.edge_count(), 0u) << input;
+  }
+  EXPECT_GT(actuals, 0u);  // LU passes arrays and affine scalars
+  // The recursive pair exercises the cycle flag on both sides.
+  const BatchResult rec = run_batch(inputs.back(), BatchOptions{}, "graph");
+  EXPECT_TRUE(rec.link.callgraph.has_cycle());
 }
 
 TEST(Batch, IncrementalReanalysisRecompilesOnlyTheEditedUnit) {
@@ -210,6 +332,29 @@ TEST(Batch, UnresolvedExternFailsAtLink) {
   EXPECT_FALSE(r.ok);
   const std::string diags = r.link.diags.render();
   EXPECT_NE(diags.find("unknown procedure 'p2'"), std::string::npos) << diags;
+}
+
+TEST(Batch, DegradedLinkKeepsCallsToMissingCallees) {
+  // p2.f fails to compile: the survivors link, the call to p2 stays in the
+  // graph (and the .dgn) by name, and only p1's effects reach add.
+  std::vector<SourceBuffer> sources = fig1_units();
+  sources[1].text = "subroutine p2(a, j)\n  do i = 1,\nend subroutine p2\n";
+  const BatchResult r = run_batch(sources, BatchOptions{}, "degraded");
+  ASSERT_TRUE(r.partial);
+  const ipa::CallGraph& cg = r.link.callgraph;
+  ASSERT_EQ(cg.size(), 2u);  // p1, add
+  const std::vector<ipa::CallSite>& calls = cg.node(1).callsites;
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0].callee, 0u);
+  EXPECT_EQ(calls[1].callee, ipa::kNoNode);
+  EXPECT_EQ(calls[1].unresolved, "p2");
+  EXPECT_NE(rgn::write_dgn(r.link.project).find("add|p2|8"), std::string::npos);
+  std::size_t idef = 0;
+  for (const rgn::RegionRow& row : r.link.rows) {
+    EXPECT_NE(row.mode, "IUSE");  // only p2 uses a
+    idef += row.mode == "IDEF" ? 1 : 0;
+  }
+  EXPECT_EQ(idef, 1u);
 }
 
 TEST(Batch, DuplicateDefinitionFailsAtLink) {
