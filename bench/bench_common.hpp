@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 
 namespace ara::bench {
 
@@ -28,14 +29,19 @@ inline std::vector<std::filesystem::path> lu_sources() {
   return files;
 }
 
+/// Registers one source file (language by extension); exits if unreadable.
+inline void add_file_or_die(driver::Compiler* cc, const std::filesystem::path& path) {
+  const auto src = serve::read_source(path, nullptr);
+  if (!src) {
+    std::fprintf(stderr, "cannot read %s\n", path.string().c_str());
+    std::exit(1);
+  }
+  cc->add_source(src->name, src->text, src->lang);
+}
+
 inline std::unique_ptr<driver::Compiler> compile_lu() {
   auto cc = std::make_unique<driver::Compiler>();
-  for (const auto& f : lu_sources()) {
-    if (!cc->add_file(f)) {
-      std::fprintf(stderr, "cannot read %s\n", f.string().c_str());
-      std::exit(1);
-    }
-  }
+  for (const auto& f : lu_sources()) add_file_or_die(cc.get(), f);
   if (!cc->compile()) {
     std::fprintf(stderr, "%s", cc->diagnostics().render().c_str());
     std::exit(1);
@@ -45,11 +51,7 @@ inline std::unique_ptr<driver::Compiler> compile_lu() {
 
 inline std::unique_ptr<driver::Compiler> compile_workload(const char* relative) {
   auto cc = std::make_unique<driver::Compiler>();
-  const auto path = std::filesystem::path(ARA_WORKLOADS_DIR) / relative;
-  if (!cc->add_file(path)) {
-    std::fprintf(stderr, "cannot read %s\n", path.string().c_str());
-    std::exit(1);
-  }
+  add_file_or_die(cc.get(), std::filesystem::path(ARA_WORKLOADS_DIR) / relative);
   if (!cc->compile()) {
     std::fprintf(stderr, "%s", cc->diagnostics().render().c_str());
     std::exit(1);

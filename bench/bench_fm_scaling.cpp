@@ -6,10 +6,16 @@
 // on the flat part of the curve).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <random>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "obs/stats.hpp"
 #include "regions/linsys.hpp"
 
 namespace {
@@ -123,6 +129,88 @@ std::pair<std::size_t, std::size_t> run_stress_pass(const std::vector<LinSystem>
   return {feasible, bounded};
 }
 
+/// The exact FM work of one run of `fn` from an empty projection memo: the
+/// registered regions.* counters, plus the memo misses (projections really
+/// computed, not replayed). Host-independent: any drift is a change in the
+/// algorithm or in the memo, never noise.
+template <class Fn>
+void record_fm_work(ara::bench::BenchJson& json, const std::string& prefix, Fn&& fn) {
+  fm_memo_clear();
+  ara::obs::StatsRegistry::instance().reset();
+  ara::obs::set_enabled(true);
+  fn();
+  ara::obs::set_enabled(false);
+  for (const ara::obs::StatEntry& e : ara::obs::StatsRegistry::instance().snapshot()) {
+    for (const char* name : {"fm_eliminations", "fm_pairs_combined", "feasibility_checks"}) {
+      if (e.name == std::string("regions.") + name) {
+        json.metric(prefix + "_" + name, static_cast<double>(e.value), "count", "exact");
+      }
+    }
+  }
+  json.metric(prefix + "_memo_misses", static_cast<double>(fm_memo_misses()), "count", "exact");
+}
+
+/// Wall time of one call of `fn`, in ms.
+template <class Fn>
+double time_ms(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Median of a sample (copied; the sample is small).
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.size() % 2 == 1 ? v[v.size() / 2] : (v[v.size() / 2 - 1] + v[v.size() / 2]) / 2.0;
+}
+
+/// The timing gate's yardstick: FM-shaped work that shares no code with
+/// regions:: — small integer rows copied, sorted, combined pairwise and
+/// looked up by a splitmix hash in a bounded memo, the instruction mix of
+/// an elimination and of its memo. A slower LinSystem moves only the
+/// numerator of the *_per_calib ratios; a slower or busier host moves both.
+std::int64_t calibration_kernel() {
+  constexpr std::size_t kRows = 32;
+  constexpr std::size_t kCols = 6;
+  constexpr int kRounds = 2000;
+  std::mt19937 rng(4242);
+  std::uniform_int_distribution<std::int64_t> coef(-3, 3);
+  std::vector<std::vector<std::int64_t>> rows(kRows, std::vector<std::int64_t>(kCols));
+  for (auto& row : rows) {
+    for (auto& c : row) c = coef(rng);
+  }
+  std::unordered_map<std::uint64_t, std::vector<std::int64_t>> memo;
+  std::int64_t checksum = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<std::int64_t>> sys = rows;
+    std::sort(sys.begin(), sys.end());
+    for (std::size_t i = 0; i + 1 < kRows; i += 2) {
+      std::vector<std::int64_t> c(kCols);
+      for (std::size_t k = 0; k < kCols; ++k) {
+        c[k] = sys[i + 1][0] * sys[i][k] - sys[i][0] * sys[i + 1][k];
+      }
+      sys.push_back(std::move(c));
+    }
+    for (const auto& row : sys) {
+      std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+      for (const std::int64_t w : row) {
+        h ^= static_cast<std::uint64_t>(w) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+      }
+      if (const auto it = memo.find(h); it != memo.end()) {
+        checksum += it->second[0];
+      } else {
+        memo.emplace(h, row);
+      }
+    }
+    rows[round % kRows][round % kCols] += (round & 1) != 0 ? 1 : -1;
+    if (memo.size() > 4096) memo.clear();
+  }
+  return checksum;
+}
+
 void print_reproduction(const char* argv0) {
   ara::bench::BenchJson json("fm_scaling", "dense-random");
   std::printf("=== FM scaling (the §III cost note) ===\n");
@@ -137,37 +225,59 @@ void print_reproduction(const char* argv0) {
     json.metric("feasible_vars" + std::to_string(nvars), feasible ? 1.0 : 0.0, "bool",
                 "exact");
   }
-  const LinSystem big = dense_system(6, 6, 7);
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool big_feasible = big.feasible();
-  const double feasible_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  benchmark::DoNotOptimize(big_feasible);
-  json.metric("feasible6x6_ms", feasible_ms, "ms", "lower");
 
-  // FM-stress corpus: the perf-smoke gate's throughput anchor. Inventory
-  // metrics are exact (any drift is a behavior change); the timing pair is
-  // the regression gate proper.
+  // The perf-smoke gate. Work is pinned exactly (counters from an empty
+  // memo); time is gated only as a ratio to the calibration kernel. The
+  // host's speed drifts by well over 10% within a second, so each sample
+  // times the calibration kernel and the workload back to back and keeps
+  // their ratio; the gate reads the median ratio. The ms values are
+  // informational.
+  std::vector<double> calib_ms;
+  auto per_calib = [&](auto&& setup, auto&& fn) {
+    constexpr int kSamples = 15;
+    std::vector<double> ratios;
+    std::vector<double> ms;
+    for (int i = 0; i < kSamples; ++i) {
+      const double c = time_ms([] { benchmark::DoNotOptimize(calibration_kernel()); });
+      setup();
+      const double t = time_ms(fn);
+      calib_ms.push_back(c);
+      ms.push_back(t);
+      ratios.push_back(t / c);
+    }
+    return std::pair{median(ms), median(ratios)};
+  };
+
+  const LinSystem big = dense_system(6, 6, 7);
+  record_fm_work(json, "feasible6x6", [&] { benchmark::DoNotOptimize(big.feasible()); });
+  const auto [feasible_ms, feasible_ratio] =
+      per_calib([] { fm_memo_clear(); }, [&] { benchmark::DoNotOptimize(big.feasible()); });
+  json.metric("feasible6x6_ms", feasible_ms, "ms", "lower");
+  json.metric("feasible6x6_per_calib", feasible_ratio, "ratio", "lower");
+
+  // FM-stress corpus: a cold pass pins the work and the inventory anchors;
+  // each timed sample replays it warm kStressReps times, as the regions
+  // pipeline re-projects identical callee summaries at every call site.
   const std::vector<LinSystem> corpus = fm_stress_corpus();
-  const auto [feasible_n, bounded_n] = run_stress_pass(corpus);  // warm-up + anchors
+  std::pair<std::size_t, std::size_t> anchors;
+  record_fm_work(json, "fm_stress", [&] { anchors = run_stress_pass(corpus); });
+  const auto [feasible_n, bounded_n] = anchors;
   constexpr int kStressReps = 8;
-  const auto s0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < kStressReps; ++rep) {
-    const auto again = run_stress_pass(corpus);
-    benchmark::DoNotOptimize(again.first + again.second);
-  }
-  const double stress_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - s0).count();
-  const double per_sec =
-      stress_ms > 0.0 ? corpus.size() * kStressReps / (stress_ms / 1000.0) : 0.0;
+  const auto [stress_ms, stress_ratio] = per_calib([] {}, [&] {
+    for (int rep = 0; rep < kStressReps; ++rep) {
+      const auto again = run_stress_pass(corpus);
+      benchmark::DoNotOptimize(again.first + again.second);
+    }
+  });
   std::printf("  FM-stress corpus: %zu systems, %zu feasible, %zu bounded, %.1f ms "
-              "(%.0f systems/sec)\n",
-              corpus.size(), feasible_n, bounded_n, stress_ms, per_sec);
+              "(%.2fx the calibration kernel)\n",
+              corpus.size(), feasible_n, bounded_n, stress_ms, stress_ratio);
+  json.metric("calibration_ms", median(calib_ms), "ms", "lower");
   json.metric("fm_stress_systems", static_cast<double>(corpus.size()), "count", "exact");
   json.metric("fm_stress_feasible", static_cast<double>(feasible_n), "count", "exact");
   json.metric("fm_stress_bounded", static_cast<double>(bounded_n), "count", "exact");
   json.metric("fm_stress_ms", stress_ms, "ms", "lower");
-  json.metric("fm_stress_sys_per_sec", per_sec, "count", "higher");
+  json.metric("fm_stress_per_calib", stress_ratio, "ratio", "lower");
   json.write_next_to(argv0);
   std::printf("  (timings below show the super-linear growth in vars)\n\n");
 }

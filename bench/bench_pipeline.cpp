@@ -57,7 +57,7 @@ void BM_FrontEndOnly(benchmark::State& state) {
   std::vector<std::pair<std::string, std::string>> sources;
   {
     auto cc = std::make_unique<ara::driver::Compiler>();
-    for (const auto& f : ara::bench::lu_sources()) cc->add_file(f);
+    for (const auto& f : ara::bench::lu_sources()) ara::bench::add_file_or_die(cc.get(), f);
     const auto& sm = cc->program().sources;
     for (ara::FileId f = 1; f <= sm.file_count(); ++f) {
       sources.emplace_back(sm.name(f), sm.text(f));

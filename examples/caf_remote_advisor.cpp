@@ -8,16 +8,19 @@
 #include "dragon/advisor.hpp"
 #include "dragon/table.hpp"
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 
 int main(int argc, char** argv) {
   const std::filesystem::path source =
       argc > 1 ? argv[1] : std::filesystem::path(ARA_WORKLOADS_DIR) / "caf_halo.f";
 
   ara::driver::Compiler cc;
-  if (!cc.add_file(source)) {
+  const auto src = ara::serve::read_source(source, nullptr);
+  if (!src) {
     std::cerr << "cannot read " << source << "\n";
     return 1;
   }
+  cc.add_source(src->name, src->text, src->lang);
   if (!cc.compile()) {
     std::cerr << cc.diagnostics().render();
     return 1;

@@ -36,6 +36,7 @@
 #include "lno/dependence.hpp"
 #include "dragon/session.hpp"
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 #include "support/string_utils.hpp"
 
 namespace {
@@ -48,7 +49,11 @@ void add_default_workload(ara::driver::Compiler& cc) {
     if (entry.path().extension() == ".f") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
-  for (const auto& f : files) cc.add_file(f);
+  for (const auto& f : files) {
+    if (const auto src = ara::serve::read_source(f, nullptr)) {
+      cc.add_source(src->name, src->text, src->lang);
+    }
+  }
 }
 
 }  // namespace
@@ -103,10 +108,12 @@ int main(int argc, char** argv) {
     add_default_workload(cc);
   } else {
     for (const std::string& s : sources) {
-      if (!cc.add_file(s)) {
+      const auto src = ara::serve::read_source(s, nullptr);
+      if (!src) {
         std::cerr << "dragon_cli: cannot read " << s << "\n";
         return 1;
       }
+      cc.add_source(src->name, src->text, src->lang);
     }
   }
   if (!cc.compile()) {

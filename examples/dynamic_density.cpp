@@ -9,6 +9,7 @@
 
 #include "driver/compiler.hpp"
 #include "interp/interp.hpp"
+#include "serve/engine.hpp"
 #include "support/string_utils.hpp"
 
 int main(int argc, char** argv) {
@@ -18,10 +19,12 @@ int main(int argc, char** argv) {
   const int threads = argc > 3 ? std::atoi(argv[3]) : 4;
 
   ara::driver::Compiler cc;
-  if (!cc.add_file(source)) {
+  const auto src = ara::serve::read_source(source, nullptr);
+  if (!src) {
     std::cerr << "cannot read " << source << "\n";
     return 1;
   }
+  cc.add_source(src->name, src->text, src->lang);
   if (!cc.compile()) {
     std::cerr << cc.diagnostics().render();
     return 1;

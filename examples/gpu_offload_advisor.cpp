@@ -12,16 +12,19 @@
 
 #include "dragon/advisor.hpp"
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   ara::driver::Compiler cc;
   if (argc > 1) {
     for (int i = 1; i < argc; ++i) {
-      if (!cc.add_file(argv[i])) {
+      const auto src = ara::serve::read_source(argv[i], nullptr);
+      if (!src) {
         std::cerr << "cannot read " << argv[i] << "\n";
         return 1;
       }
+      cc.add_source(src->name, src->text, src->lang);
     }
   } else {
     std::vector<fs::path> files;
@@ -29,7 +32,11 @@ int main(int argc, char** argv) {
       if (e.path().extension() == ".f") files.push_back(e.path());
     }
     std::sort(files.begin(), files.end());  // deterministic file order
-    for (const auto& f : files) cc.add_file(f);
+    for (const auto& f : files) {
+      if (const auto src = ara::serve::read_source(f, nullptr)) {
+        cc.add_source(src->name, src->text, src->lang);
+      }
+    }
   }
   if (!cc.compile()) {
     std::cerr << cc.diagnostics().render();

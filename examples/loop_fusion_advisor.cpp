@@ -13,19 +13,28 @@
 #include "dragon/advisor.hpp"
 #include "driver/compiler.hpp"
 #include "gpusim/transfer_model.hpp"
+#include "serve/engine.hpp"
 
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   ara::driver::Compiler cc;
   if (argc > 1) {
-    for (int i = 1; i < argc; ++i) cc.add_file(argv[i]);
+    for (int i = 1; i < argc; ++i) {
+      if (const auto src = ara::serve::read_source(argv[i], nullptr)) {
+        cc.add_source(src->name, src->text, src->lang);
+      }
+    }
   } else {
     std::vector<fs::path> files;
     for (const auto& e : fs::directory_iterator(fs::path(ARA_WORKLOADS_DIR) / "lu")) {
       if (e.path().extension() == ".f") files.push_back(e.path());
     }
     std::sort(files.begin(), files.end());
-    for (const auto& f : files) cc.add_file(f);
+    for (const auto& f : files) {
+      if (const auto src = ara::serve::read_source(f, nullptr)) {
+        cc.add_source(src->name, src->text, src->lang);
+      }
+    }
   }
   if (!cc.compile()) {
     std::cerr << cc.diagnostics().render();

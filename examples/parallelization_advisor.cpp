@@ -9,6 +9,7 @@
 
 #include "dragon/advisor.hpp"
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 #include "support/string_utils.hpp"
 
 namespace {
@@ -34,10 +35,12 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : std::filesystem::path(ARA_WORKLOADS_DIR) / "fig1_add.f";
 
   ara::driver::Compiler cc;
-  if (!cc.add_file(source)) {
+  const auto src = ara::serve::read_source(source, nullptr);
+  if (!src) {
     std::cerr << "cannot read " << source << "\n";
     return 1;
   }
+  cc.add_source(src->name, src->text, src->lang);
   if (!cc.compile()) {
     std::cerr << cc.diagnostics().render();
     return 1;

@@ -1,16 +1,19 @@
 #include "driver/cli.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "daemon/client.hpp"
 #include "driver/compiler.hpp"
+#include "ipa/callgraph.hpp"
 #include "ir/printer.hpp"
 #include "lno/dependence.hpp"
 #include "obs/eventlog.hpp"
@@ -36,10 +39,10 @@ namespace fs = std::filesystem;
 /// The exit-code contract (every return path funnels through these —
 /// documented in docs/robustness.md):
 ///   0  clean success
-///   1  total failure: usage error, unreadable input, compile/link error,
-///      resource limit in monolithic mode, internal error
+///   1  total failure: usage error, unreadable input, every unit failed,
+///      link or export error, internal error
 ///   2  partial success: some units failed but the survivors linked and
-///      their results were produced (batch engine only)
+///      their results were produced
 constexpr int kClean = 0;
 constexpr int kFatal = 1;
 constexpr int kPartial = 2;
@@ -50,7 +53,7 @@ struct CliOptions {
   std::string export_dir;   // empty = no Dragon export
   std::string trace_file;   // empty = no trace
   std::string metrics_out;  // empty = no --metrics-out report
-  std::string events_file;  // empty = derive from --metrics-out (batch runs)
+  std::string events_file;  // empty = derive from --metrics-out
   std::string profile_file;            // empty = no sampling profiler
   std::uint64_t profile_interval_us = 250;  // sampling period for --profile
   bool stats = false;
@@ -58,7 +61,7 @@ struct CliOptions {
   bool no_ipa = false;
   bool dump_ir = false;
   bool quiet = false;
-  long jobs = 0;          // 0 = flag absent (monolithic pipeline)
+  long jobs = 0;          // 0 = flag absent: 1 in-process, the daemon's own default
   std::string cache_dir;  // empty = no summary cache
   bool no_cache = false;
   std::string daemon_socket;  // --daemon-connect: analyze via a running arad
@@ -68,7 +71,7 @@ struct CliOptions {
   support::ResourceLimits limits;  // per-unit resource guards
   bool explain = false;            // render cause records after analysis
   std::string explain_target;      // "array" or "array@proc" filter ("" = all)
-  bool explain_loops = false;      // --loops: explain serial loops instead
+  bool explain_loops = false;      // --loops: explain serial loops too
   std::string provenance_out;      // empty = no .provenance.jsonl export
 
   [[nodiscard]] bool telemetry() const {
@@ -81,14 +84,6 @@ struct CliOptions {
   [[nodiscard]] bool provenance() const {
     return explain || explain_loops || !provenance_out.empty() || telemetry();
   }
-  /// Loop verdicts are only computed when someone will read them; they run
-  /// extra Fourier–Motzkin work the plain pipeline never did.
-  [[nodiscard]] bool want_loops() const {
-    return explain || explain_loops || !provenance_out.empty();
-  }
-  /// The batch engine runs whenever its flags are used; otherwise the
-  /// monolithic pipeline keeps its historical behavior.
-  [[nodiscard]] bool serve() const { return jobs > 0 || !cache_dir.empty(); }
 };
 
 void usage(std::ostream& out) {
@@ -105,8 +100,8 @@ void usage(std::ostream& out) {
          "  --trace FILE      write a Chrome trace-event JSON file\n"
          "                    (load it at ui.perfetto.dev or chrome://tracing)\n"
          "  --metrics-out FILE  write the run ledger (counters + latency\n"
-         "                    histogram percentiles, ara.metrics.v1); batch runs\n"
-         "                    also write FILE's stem + .events.jsonl\n"
+         "                    histogram percentiles, ara.metrics.v1) plus the\n"
+         "                    event log to FILE's stem + .events.jsonl\n"
          "  --events FILE     write the per-unit lifecycle event log (JSONL,\n"
          "                    ara.events.v1) to an explicit path\n"
          "  --profile FILE    sample worker span stacks into FILE in collapsed\n"
@@ -115,19 +110,18 @@ void usage(std::ostream& out) {
          "  --explain [ARRAY[@PROC]]  after analysis, name the cause of every\n"
          "                    precision loss (messy/unprojected dimension) with\n"
          "                    its source line; optional target filter\n"
-         "  --loops           with --explain: report why loops stayed serial,\n"
-         "                    citing the blocking dependence pair (monolithic\n"
-         "                    pipeline only)\n"
+         "  --loops           report why loops stayed serial, citing the blocking\n"
+         "                    dependence pair (builds the whole-program IR)\n"
          "  --provenance-out FILE  write the cause records as JSONL\n"
          "                    (ara.prov.v1); byte-identical across --jobs\n"
          "                    values and cache states\n"
          "  --no-ipa          skip interprocedural propagation (-IPA off)\n"
-         "  --dump-ir         dump the lowered WHIRL trees to stdout\n"
+         "  --dump-ir         dump the whole-program WHIRL trees to stdout\n"
          "  --quiet           suppress the region table and summary\n"
-         "  --jobs N          batch engine: analyze units on N worker threads\n"
-         "                    (output is byte-identical for every N)\n"
-         "  --cache-dir DIR   batch engine: persistent summary cache; unchanged\n"
-         "                    units skip parsing and local analysis\n"
+         "  --jobs N          analyze units on N worker threads (default 1:\n"
+         "                    inline); output is byte-identical for every N\n"
+         "  --cache-dir DIR   persistent summary cache; unchanged units skip\n"
+         "                    parsing and local analysis (default: no cache)\n"
          "  --no-cache        ignore the cache for this run (don't read or write)\n"
          "  --daemon-connect SOCKET  send the analysis to a running arad on\n"
          "                    SOCKET instead of analyzing in-process; unchanged\n"
@@ -149,8 +143,8 @@ void usage(std::ostream& out) {
          "  --max-arrays N        arrays declared per unit cap (default 10000)\n"
          "  --unit-timeout-ms N   per-unit wall-clock watchdog (default 0 = off)\n"
          "\n"
-         "exit codes: 0 success; 1 total failure (usage, compile, link, limits);\n"
-         "2 partial success (batch engine: some units failed, survivors linked,\n"
+         "exit codes: 0 success; 1 total failure (usage, every unit failed, link);\n"
+         "2 partial success (some units failed, survivors linked,\n"
          "NAME.failures.json written)\n";
 }
 
@@ -167,6 +161,20 @@ bool parse_u64(const std::string& flag, const std::string& v, std::uint64_t* out
   return true;
 }
 
+/// Options that take one string value, stored verbatim.
+constexpr std::pair<std::string_view, std::string CliOptions::*> kStringFlags[] = {
+    {"--name", &CliOptions::name},
+    {"--export-dir", &CliOptions::export_dir},
+    {"--trace", &CliOptions::trace_file},
+    {"--metrics-out", &CliOptions::metrics_out},
+    {"--events", &CliOptions::events_file},
+    {"--profile", &CliOptions::profile_file},
+    {"--cache-dir", &CliOptions::cache_dir},
+    {"--daemon-connect", &CliOptions::daemon_socket},
+    {"--failpoints", &CliOptions::failpoints},
+    {"--provenance-out", &CliOptions::provenance_out},
+};
+
 bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostream& out,
                 std::ostream& err, bool* help) {
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -178,34 +186,16 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
       }
       return &args[++i];
     };
+    const auto* flag = std::find_if(std::begin(kStringFlags), std::end(kStringFlags),
+                                    [&](const auto& f) { return f.first == a; });
     if (a == "--help" || a == "-h") {
       usage(out);
       *help = true;
       return true;
-    } else if (a == "--name") {
-      const std::string* v = next("--name");
+    } else if (flag != std::end(kStringFlags)) {
+      const std::string* v = next(a.c_str());
       if (v == nullptr) return false;
-      cli->name = *v;
-    } else if (a == "--export-dir") {
-      const std::string* v = next("--export-dir");
-      if (v == nullptr) return false;
-      cli->export_dir = *v;
-    } else if (a == "--trace") {
-      const std::string* v = next("--trace");
-      if (v == nullptr) return false;
-      cli->trace_file = *v;
-    } else if (a == "--metrics-out") {
-      const std::string* v = next("--metrics-out");
-      if (v == nullptr) return false;
-      cli->metrics_out = *v;
-    } else if (a == "--events") {
-      const std::string* v = next("--events");
-      if (v == nullptr) return false;
-      cli->events_file = *v;
-    } else if (a == "--profile") {
-      const std::string* v = next("--profile");
-      if (v == nullptr) return false;
-      cli->profile_file = *v;
+      cli->*flag->second = *v;
     } else if (a == "--profile-interval-us") {
       const std::string* v = next("--profile-interval-us");
       if (v == nullptr || !parse_u64(a, *v, &cli->profile_interval_us, err)) return false;
@@ -222,16 +212,8 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
         err << "arac: --jobs expects a positive integer, got '" << *v << "'\n";
         return false;
       }
-    } else if (a == "--cache-dir") {
-      const std::string* v = next("--cache-dir");
-      if (v == nullptr) return false;
-      cli->cache_dir = *v;
     } else if (a == "--no-cache") {
       cli->no_cache = true;
-    } else if (a == "--daemon-connect") {
-      const std::string* v = next("--daemon-connect");
-      if (v == nullptr) return false;
-      cli->daemon_socket = *v;
     } else if (a == "--retry") {
       const std::string* v = next("--retry");
       std::uint64_t n = 0;
@@ -240,10 +222,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
     } else if (a == "--deadline-ms") {
       const std::string* v = next("--deadline-ms");
       if (v == nullptr || !parse_u64(a, *v, &cli->daemon_deadline_ms, err)) return false;
-    } else if (a == "--failpoints") {
-      const std::string* v = next("--failpoints");
-      if (v == nullptr) return false;
-      cli->failpoints = *v;
     } else if (a == "--max-depth") {
       const std::string* v = next("--max-depth");
       std::uint64_t n = 0;
@@ -276,10 +254,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
       }
     } else if (a == "--loops") {
       cli->explain_loops = true;
-    } else if (a == "--provenance-out") {
-      const std::string* v = next("--provenance-out");
-      if (v == nullptr) return false;
-      cli->provenance_out = *v;
     } else if (a == "--no-ipa") {
       cli->no_ipa = true;
     } else if (a == "--dump-ir") {
@@ -313,25 +287,79 @@ bool write_file(const fs::path& path, const std::string& text, std::ostream& err
   return true;
 }
 
-/// The batch-engine path (`--jobs` / `--cache-dir`): parallel per-unit
-/// analysis + summary cache + serial link, same outputs as the monolithic
-/// pipeline below.
-int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
-  if (cli.dump_ir) {
-    err << "arac: --dump-ir is unavailable with --jobs/--cache-dir "
-           "(the batch engine keeps no whole-program IR); ignoring\n";
-  }
+/// Reads every source on the command line, in order; the language comes
+/// from the extension (serve::read_source). Unknown extensions warn on
+/// `err`; an unreadable file is fatal (nullopt).
+std::optional<std::vector<serve::SourceBuffer>> read_sources(const CliOptions& cli,
+                                                             std::ostream& err) {
   std::vector<serve::SourceBuffer> sources;
   for (const fs::path& src : cli.sources) {
     std::string warning;
     std::optional<serve::SourceBuffer> buf = serve::read_source(src, &warning);
     if (!buf.has_value()) {
       err << "arac: cannot read " << src.string() << "\n";
-      return kFatal;
+      return std::nullopt;
     }
     if (!warning.empty()) err << "warning: " << warning << "\n";
     sources.push_back(std::move(*buf));
   }
+  return sources;
+}
+
+/// The whole-program by-product: compiles every unit together with
+/// driver::Compiler, dumps the WHIRL trees (--dump-ir) and returns the
+/// serial-loop verdicts (--loops) as LoopNotParallel records. They sit
+/// under the link unit, numbered after the link phase's own records, so
+/// their (unit, seq) position never depends on --jobs or the cache.
+std::vector<obs::ProvRecord> whole_program(const CliOptions& cli,
+                                           const std::vector<serve::SourceBuffer>& sources,
+                                           const serve::BatchResult& batch, std::ostream& out,
+                                           std::ostream& err) {
+  const support::LimitScope guard(cli.limits);
+  Compiler cc;
+  for (const serve::SourceBuffer& s : sources) cc.add_source(s.name, s.text, s.lang);
+  // The batch already reported every diagnostic; a run that dropped a unit
+  // only loses the by-product.
+  if (batch.failed_units > 0 || !cc.compile()) {
+    err << "arac: --dump-ir/--loops need every unit to compile; skipped\n";
+    return {};
+  }
+  const ir::Program& program = cc.program();
+  if (cli.dump_ir) out << ir::dump_program(program);
+  std::vector<obs::ProvRecord> loops;
+  if (!cli.explain_loops) return loops;
+
+  const auto link_records = static_cast<std::uint32_t>(
+      std::count_if(batch.provenance.begin(), batch.provenance.end(),
+                    [](const obs::ProvRecord& r) { return r.unit == obs::kLinkUnit; }));
+  for (const lno::LoopAnalysis& la :
+       lno::find_parallel_loops(program, ipa::CallGraph::build(program))) {
+    if (la.verdict == lno::LoopVerdict::Parallelizable) continue;
+    obs::ProvRecord r;
+    r.unit = obs::kLinkUnit;
+    r.seq = link_records + static_cast<std::uint32_t>(loops.size());
+    r.kind = obs::CauseKind::LoopNotParallel;
+    r.proc = la.proc;
+    r.array = la.dep_array;
+    if (const rgn::DgnProc* proc = batch.link.project.find_proc(la.proc)) r.file = proc->file;
+    r.line = la.line;
+    r.detail = "loop over '" + la.index_var + "' stayed serial: " + la.detail;
+    if (la.dep_line_a != 0) {
+      r.detail += " (DEF at line " + std::to_string(la.dep_line_a) +
+                  " conflicts with the reference at line " + std::to_string(la.dep_line_b) +
+                  ")";
+    }
+    loops.push_back(std::move(r));
+  }
+  return loops;
+}
+
+/// Every in-process analysis: the batch engine (per-unit summarize on
+/// --jobs workers, the optional summary cache, then the serial link), plus
+/// the whole-program by-product when --dump-ir or --loops asks for it.
+int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
+  const std::optional<std::vector<serve::SourceBuffer>> sources = read_sources(cli, err);
+  if (!sources.has_value()) return kFatal;
 
   serve::BatchOptions bopts;
   bopts.jobs = cli.jobs > 0 ? static_cast<std::size_t>(cli.jobs) : 1;
@@ -339,8 +367,7 @@ int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   bopts.use_cache = !cli.no_cache;
   bopts.interprocedural = !cli.no_ipa;
   bopts.limits = cli.limits;
-  const serve::BatchResult result = serve::run_batch(sources, bopts, cli.name);
-  if (cli.provenance()) obs::ProvenanceLedger::instance().append(result.provenance);
+  const serve::BatchResult result = serve::run_batch(*sources, bopts, cli.name);
 
   // Unit diagnostics come back in input order regardless of which worker
   // produced them; link diagnostics (duplicate definitions, unresolved
@@ -370,6 +397,11 @@ int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
         << " units failed; see " << report.string() << "\n";
   }
   if (rc == kFatal) return rc;
+
+  if (cli.provenance()) obs::ProvenanceLedger::instance().append(result.provenance);
+  if (cli.dump_ir || cli.explain_loops) {
+    obs::ProvenanceLedger::instance().append(whole_program(cli, *sources, result, out, err));
+  }
 
   if (!cli.quiet) {
     out << cli.name << ": " << result.link.project.procedures.size() << " procedures, "
@@ -405,17 +437,9 @@ int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
 /// contract as the in-process paths, but unchanged units replay from the
 /// daemon's warm state instead of being re-analyzed.
 int run_daemon_client(const CliOptions& cli, std::ostream& out, std::ostream& err) {
-  std::vector<serve::SourceBuffer> sources;
-  for (const fs::path& src : cli.sources) {
-    std::string warning;
-    std::optional<serve::SourceBuffer> buf = serve::read_source(src, &warning);
-    if (!buf.has_value()) {
-      err << "arac: cannot read " << src.string() << "\n";
-      return kFatal;
-    }
-    if (!warning.empty()) err << "warning: " << warning << "\n";
-    sources.push_back(std::move(*buf));
-  }
+  const std::optional<std::vector<serve::SourceBuffer>> read = read_sources(cli, err);
+  if (!read.has_value()) return kFatal;
+  const std::vector<serve::SourceBuffer>& sources = *read;
 
   daemon::DaemonClient client;
   std::string cerror;
@@ -547,89 +571,6 @@ int run_daemon_client(const CliOptions& cli, std::ostream& out, std::ostream& er
   return final_rc;
 }
 
-/// The monolithic pipeline (`arac` without --jobs/--cache-dir). Runs under
-/// the CLI's resource limits; a tripped cap propagates as
-/// ResourceLimitError and run_arac's sink turns it into exit 1.
-int run_mono(const CliOptions& cli, std::ostream& out, std::ostream& err) {
-  const support::LimitScope guard(cli.limits);
-  int rc = kClean;
-
-  // Provenance capture for the whole monolithic run (unit 0); the vector is
-  // handed to the process ledger once analysis (and any loop verdicts) are
-  // in, so --explain / --provenance-out render from one place.
-  std::vector<obs::ProvRecord> prov;
-  std::optional<obs::ProvSink> prov_sink;
-  if (cli.provenance()) prov_sink.emplace(&prov, 0);
-
-  Compiler cc;
-  for (const fs::path& src : cli.sources) {
-    if (!cc.add_file(src)) {
-      err << "arac: cannot read " << src.string() << "\n";
-      return kFatal;
-    }
-  }
-  const bool compiled = cc.compile();
-  // Diagnostics always reach the user: warnings on successful compiles
-  // used to vanish here (satellite of ISSUE 3).
-  const std::string diag_text = cc.diagnostics().render();
-  if (!diag_text.empty()) err << diag_text;
-  if (!compiled) return kFatal;
-
-  if (cli.dump_ir) out << ir::dump_program(cc.program());
-
-  ipa::AnalyzeOptions aopts;
-  aopts.interprocedural = !cli.no_ipa;
-  const ipa::AnalysisResult result = cc.analyze(aopts);
-
-  if (!cli.quiet) {
-    out << cli.name << ": " << result.callgraph.size() << " procedures, "
-        << result.callgraph.edge_count() << " call edges, " << result.rows.size()
-        << " region rows\n";
-    out << rgn::render_table(result.rows);
-  }
-
-  if (!cli.export_dir.empty()) {
-    std::string error;
-    if (!export_dragon_files(cc.program(), result, cli.export_dir, cli.name, &error)) {
-      err << "arac: " << error << "\n";
-      rc = kFatal;
-    } else if (!cli.quiet) {
-      out << "wrote " << (fs::path(cli.export_dir) / cli.name).string()
-          << ".{rgn,dgn,cfg" << (cli.telemetry() ? ",stats.json" : "") << "}\n";
-    }
-  }
-
-  // Loop verdicts, emitted as LoopNotParallel records citing the blocking
-  // dependence pair. Only runs when someone reads them (--explain /
-  // --provenance-out): the dependence tests are extra Fourier–Motzkin work.
-  if (prov_sink.has_value() && cli.want_loops()) {
-    const ir::Program& program = cc.program();
-    const std::vector<lno::LoopAnalysis> loops =
-        lno::find_parallel_loops(program, result.callgraph);
-    std::map<std::string, std::string, std::less<>> proc_file;
-    for (std::uint32_t n = 0; n < result.callgraph.size(); ++n) {
-      const ipa::CGNode& node = result.callgraph.node(n);
-      proc_file[program.symtab.st(node.proc_st).name] =
-          program.sources.name(node.proc->file);
-    }
-    for (const lno::LoopAnalysis& la : loops) {
-      if (la.verdict == lno::LoopVerdict::Parallelizable) continue;
-      std::string detail = "loop over '" + la.index_var + "' stayed serial: " + la.detail;
-      if (la.dep_line_a != 0) {
-        detail += " (DEF at line " + std::to_string(la.dep_line_a) +
-                  " conflicts with the reference at line " + std::to_string(la.dep_line_b) +
-                  ")";
-      }
-      obs::prov_record(obs::CauseKind::LoopNotParallel,
-                       {la.proc, la.dep_array, proc_file[la.proc], la.line}, -1, detail);
-    }
-  }
-
-  prov_sink.reset();
-  if (cli.provenance()) obs::ProvenanceLedger::instance().append(std::move(prov));
-  return rc;
-}
-
 /// Disarms fault injection when the invocation that armed it returns, so
 /// injected faults can't leak into a later in-process run_arac call.
 struct FaultInjectScope {
@@ -684,12 +625,13 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     profiler->start();
   }
 
-  // The single error sink: every failure mode of both pipelines lands here
-  // and maps onto the 0/1/2 contract. The catch-all exists so an internal
-  // bug exits 1 with a message instead of an abort.
+  // The single error sink: every failure that escapes the batch engine's
+  // per-unit barrier lands here and maps onto the 0/1/2 contract. The
+  // catch-all exists so an internal bug exits 1 with a message instead of
+  // an abort.
   int rc = kClean;
   try {
-    rc = cli.serve() ? run_serve(cli, out, err) : run_mono(cli, out, err);
+    rc = run_local(cli, out, err);
   } catch (const support::ResourceLimitError& e) {
     err << "arac: resource limit exceeded: " << e.what() << "\n";
     rc = kFatal;
@@ -703,14 +645,11 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     return rc;
   }
 
-  // Provenance rendering: the ledger was filled by whichever pipeline ran
-  // (run_mono's sink or the batch engine's per-unit capture).
+  // Provenance rendering: the ledger holds the batch engine's per-unit and
+  // link records, plus the loop verdicts when --loops asked for them.
   if (cli.explain || cli.explain_loops) {
     const std::vector<obs::ProvRecord> merged = obs::ProvenanceLedger::instance().merged();
-    if (cli.explain_loops && cli.serve()) {
-      err << "arac: --loops explanations need the whole-program IR and are "
-             "unavailable with --jobs/--cache-dir\n";
-    } else if (cli.explain_loops) {
+    if (cli.explain_loops) {
       out << obs::render_explain(merged, cli.explain_target, /*loops_only=*/true);
     }
     if (cli.explain) {
@@ -747,11 +686,11 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
       !write_file(cli.metrics_out, obs::write_metrics_json(cli.name), err)) {
     rc = 1;
   }
-  // The lifecycle event log: an explicit --events path wins; otherwise a
-  // batch-engine --metrics-out run derives `<stem>.events.jsonl` so the
-  // full ledger comes from one flag.
+  // The lifecycle event log: an explicit --events path wins; otherwise
+  // --metrics-out derives `<stem>.events.jsonl` so the full ledger comes
+  // from one flag.
   std::string events_path = cli.events_file;
-  if (events_path.empty() && !cli.metrics_out.empty() && cli.serve()) {
+  if (events_path.empty() && !cli.metrics_out.empty()) {
     fs::path p(cli.metrics_out);
     p.replace_extension();
     events_path = p.string() + ".events.jsonl";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "cfg/cfg.hpp"
 #include "frontend/compile.hpp"
@@ -11,7 +10,6 @@
 #include "rgn/dgn.hpp"
 #include "support/faultinject.hpp"
 #include "support/retry.hpp"
-#include "support/string_utils.hpp"
 
 namespace ara::driver {
 
@@ -28,25 +26,6 @@ Compiler::Compiler(CompilerOptions opts)
 void Compiler::add_source(std::string name, std::string text, Language lang) {
   stat_files_added.bump();
   program_->sources.add(std::move(name), std::move(text), lang);
-}
-
-bool Compiler::add_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string ext = to_lower(path.extension().string());
-  Language lang = Language::Fortran;
-  if (ext == ".c" || ext == ".h") {
-    lang = Language::C;
-  } else if (ext != ".f" && ext != ".f90" && ext != ".for" && ext != ".f77") {
-    // Unknown extension: keep the historical Fortran fallback, but say so
-    // instead of silently misparsing (satellite of ISSUE 3).
-    diags_.warning(SourceLoc{}, "unrecognized extension '" + ext + "' on '" +
-                                    path.filename().string() + "'; assuming Fortran");
-  }
-  add_source(path.filename().string(), buf.str(), lang);
-  return true;
 }
 
 bool Compiler::compile() {

@@ -33,13 +33,9 @@ class Compiler {
   Compiler();
   explicit Compiler(CompilerOptions opts);
 
-  /// Registers an in-memory source buffer.
+  /// Registers an in-memory source buffer (serve::read_source loads one
+  /// from disk, choosing the language by extension).
   void add_source(std::string name, std::string text, Language lang);
-
-  /// Loads a file from disk; language chosen by extension (.c/.h → C;
-  /// .f/.f90/.for/.f77 → Fortran; anything else falls back to Fortran with
-  /// a warning diagnostic). Returns false if the file cannot be read.
-  bool add_file(const std::filesystem::path& path);
 
   /// Parse + sema + lowering + layout. False on any error diagnostic.
   bool compile();

@@ -137,8 +137,8 @@ class ProvScope {
 };
 
 /// Process-global store the driver renders from. Captured vectors are
-/// appended from single-threaded points (the batch engine between phases,
-/// the monolithic driver after analysis); merged() re-sorts by (unit, seq)
+/// appended from single-threaded points (the arac driver after the batch
+/// and after its --loops verdicts); merged() re-sorts by (unit, seq)
 /// so the export order matches the event-log contract regardless of append
 /// order.
 class ProvenanceLedger {

@@ -1,11 +1,11 @@
-// The batch-analysis engine (`arac --jobs N --cache-dir DIR`): the serve
-// subsystem's front door, sitting between the CLI and the compiler
+// The batch-analysis engine (every in-process `arac` run, and `arad`): the
+// serve subsystem's front door, sitting between the CLI and the compiler
 // pipeline. It runs the per-unit phase — parse, lower, IPL local analysis,
 // summarization — on a work-stealing thread pool, one task per translation
 // unit, consulting the persistent summary cache first so unchanged files
 // skip the front end entirely; then it joins the summaries in the serial
 // link phase (serve/link.hpp) into the same .rgn/.dgn/.cfg outputs the
-// monolithic pipeline produces.
+// library's whole-program pipeline (driver::Compiler) produces.
 //
 // Output bytes are a function of the input sources and options only: not of
 // --jobs, not of cache hits vs misses. tests/serve enforces this.
@@ -106,9 +106,10 @@ struct SourceBuffer {
   Language lang = Language::Fortran;
 };
 
-/// Loads a source file, choosing the language by extension exactly like
-/// driver::Compiler::add_file. Returns nullopt if unreadable; `warning`
-/// (when non-null) receives the unknown-extension message, if any.
+/// Loads a source file, choosing the language by extension: .c/.h → C;
+/// .f/.f90/.for/.f77 → Fortran (case-insensitive); anything else falls back
+/// to Fortran. Returns nullopt if unreadable; `warning` (when non-null)
+/// receives the unknown-extension message, if any.
 [[nodiscard]] std::optional<SourceBuffer> read_source(const std::filesystem::path& path,
                                                       std::string* warning);
 

@@ -4,28 +4,44 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
+
+#include "serve/engine.hpp"
 
 namespace ara::driver {
 namespace {
 
 namespace fs = std::filesystem;
 
-TEST(Driver, AddFileSelectsLanguageByExtension) {
+/// Loads `path` through the one extension-to-language map and registers it.
+serve::SourceBuffer read_into(Compiler* cc, const fs::path& path, std::string* warning) {
+  std::optional<serve::SourceBuffer> src = serve::read_source(path, warning);
+  EXPECT_TRUE(src.has_value()) << path;
+  if (!src.has_value()) return {};
+  cc->add_source(src->name, src->text, src->lang);
+  return *src;
+}
+
+TEST(Driver, ReadSourceSelectsLanguageByExtension) {
   const fs::path dir = fs::temp_directory_path() / "ara_driver_test";
   fs::create_directories(dir);
   std::ofstream(dir / "x.c") << "int g[4];\nvoid main(void) { g[0] = 1; }\n";
   std::ofstream(dir / "y.f") << "subroutine s\n  integer :: i\n  i = 1\nend\n";
 
   Compiler cc;
-  ASSERT_TRUE(cc.add_file(dir / "x.c"));
-  ASSERT_TRUE(cc.add_file(dir / "y.f"));
+  std::string warning;
+  EXPECT_EQ(read_into(&cc, dir / "x.c", &warning).lang, Language::C);
+  EXPECT_EQ(read_into(&cc, dir / "y.f", &warning).lang, Language::Fortran);
+  EXPECT_EQ(warning, "");
   EXPECT_EQ(cc.program().sources.language(1), Language::C);
   EXPECT_EQ(cc.program().sources.language(2), Language::Fortran);
+  EXPECT_EQ(cc.program().sources.name(1), "x.c");
   EXPECT_TRUE(cc.compile()) << cc.diagnostics().render();
   fs::remove_all(dir);
 }
 
-TEST(Driver, AddFileRecognizesFortranFreeFormExtensions) {
+TEST(Driver, ReadSourceRecognizesFortranFreeFormExtensions) {
   const fs::path dir = fs::temp_directory_path() / "ara_driver_f90_test";
   fs::create_directories(dir);
   const char* src = "subroutine s\n  integer :: i\n  i = 1\nend\n";
@@ -34,37 +50,33 @@ TEST(Driver, AddFileRecognizesFortranFreeFormExtensions) {
   std::ofstream(dir / "c.F") << src;  // case-insensitive
 
   Compiler cc;
-  ASSERT_TRUE(cc.add_file(dir / "a.f90"));
-  ASSERT_TRUE(cc.add_file(dir / "b.for"));
-  ASSERT_TRUE(cc.add_file(dir / "c.F"));
-  EXPECT_EQ(cc.program().sources.language(1), Language::Fortran);
-  EXPECT_EQ(cc.program().sources.language(2), Language::Fortran);
-  EXPECT_EQ(cc.program().sources.language(3), Language::Fortran);
+  std::string warning;
+  for (const char* name : {"a.f90", "b.for", "c.F"}) {
+    EXPECT_EQ(read_into(&cc, dir / name, &warning).lang, Language::Fortran) << name;
+  }
   // Recognized extensions produce no fallback warning.
-  EXPECT_EQ(cc.diagnostics().render().find("unrecognized extension"), std::string::npos);
+  EXPECT_EQ(warning, "");
   fs::remove_all(dir);
 }
 
-TEST(Driver, AddFileWarnsOnUnknownExtensionFallback) {
+TEST(Driver, ReadSourceWarnsOnUnknownExtensionFallback) {
   const fs::path dir = fs::temp_directory_path() / "ara_driver_ext_test";
   fs::create_directories(dir);
   std::ofstream(dir / "prog.ftn") << "subroutine s\n  integer :: i\n  i = 1\nend\n";
 
   Compiler cc;
-  ASSERT_TRUE(cc.add_file(dir / "prog.ftn"));
-  EXPECT_EQ(cc.program().sources.language(1), Language::Fortran);
-  const std::string rendered = cc.diagnostics().render();
-  EXPECT_NE(rendered.find("warning"), std::string::npos);
-  EXPECT_NE(rendered.find("unrecognized extension"), std::string::npos);
-  EXPECT_NE(rendered.find(".ftn"), std::string::npos);
-  EXPECT_FALSE(cc.diagnostics().has_errors());
-  EXPECT_TRUE(cc.compile()) << rendered;
+  std::string warning;
+  EXPECT_EQ(read_into(&cc, dir / "prog.ftn", &warning).lang, Language::Fortran);
+  EXPECT_NE(warning.find("unrecognized extension"), std::string::npos) << warning;
+  EXPECT_NE(warning.find(".ftn"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("assuming Fortran"), std::string::npos) << warning;
+  EXPECT_TRUE(cc.compile()) << cc.diagnostics().render();
   fs::remove_all(dir);
 }
 
-TEST(Driver, AddFileFailsOnMissingPath) {
-  Compiler cc;
-  EXPECT_FALSE(cc.add_file("/nonexistent/nope.f"));
+TEST(Driver, ReadSourceFailsOnMissingPath) {
+  std::string warning;
+  EXPECT_FALSE(serve::read_source("/nonexistent/nope.f", &warning).has_value());
 }
 
 TEST(Driver, CompileReportsParseErrors) {

@@ -10,6 +10,7 @@
 #include "driver/compiler.hpp"
 #include "interp/interp.hpp"
 #include "lno/dependence.hpp"
+#include "serve/engine.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara {
@@ -22,8 +23,11 @@ class HeatTest : public ::testing::Test {
   static void SetUpTestSuite() {
     cc_ = new driver::Compiler();
     const fs::path dir = fs::path(ARA_WORKLOADS_DIR) / "heat";
-    ASSERT_TRUE(cc_->add_file(dir / "heat_kernels.c"));
-    ASSERT_TRUE(cc_->add_file(dir / "heat_main.c"));
+    for (const char* name : {"heat_kernels.c", "heat_main.c"}) {
+      const auto src = serve::read_source(dir / name, nullptr);
+      ASSERT_TRUE(src.has_value()) << name;
+      cc_->add_source(src->name, src->text, src->lang);
+    }
     ASSERT_TRUE(cc_->compile()) << cc_->diagnostics().render();
     result_ = new ipa::AnalysisResult(cc_->analyze());
   }

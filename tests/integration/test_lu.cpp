@@ -10,6 +10,7 @@
 #include "dragon/advisor.hpp"
 #include "dragon/table.hpp"
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara {
@@ -26,7 +27,11 @@ class LuTest : public ::testing::Test {
       if (e.path().extension() == ".f") files.push_back(e.path());
     }
     std::sort(files.begin(), files.end());
-    for (const auto& f : files) ASSERT_TRUE(cc_->add_file(f)) << f;
+    for (const auto& f : files) {
+      const auto src = serve::read_source(f, nullptr);
+      ASSERT_TRUE(src.has_value()) << f;
+      cc_->add_source(src->name, src->text, src->lang);
+    }
     ASSERT_TRUE(cc_->compile()) << cc_->diagnostics().render();
     result_ = new ipa::AnalysisResult(cc_->analyze());
   }

@@ -8,6 +8,7 @@
 #include "dragon/session.hpp"
 #include "dragon/table.hpp"
 #include "driver/compiler.hpp"
+#include "serve/engine.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara {
@@ -19,7 +20,9 @@ class PipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const fs::path src = fs::path(ARA_WORKLOADS_DIR) / "fig10_matrix.c";
-    ASSERT_TRUE(cc_.add_file(src)) << src;
+    const auto buf = serve::read_source(src, nullptr);
+    ASSERT_TRUE(buf.has_value()) << src;
+    cc_.add_source(buf->name, buf->text, buf->lang);
     ASSERT_TRUE(cc_.compile()) << cc_.diagnostics().render();
     result_ = cc_.analyze();
   }

@@ -11,6 +11,7 @@
 #include "driver/compiler.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
+#include "serve/engine.hpp"
 
 namespace ara::obs {
 namespace {
@@ -45,7 +46,9 @@ void expect_identical(const std::vector<StatEntry>& a, const std::vector<StatEnt
 TEST_F(DeterminismTest, WorkloadPipelineCountersAreRunInvariant) {
   const auto run = [] {
     driver::Compiler cc;
-    ASSERT_TRUE(cc.add_file(fs::path(ARA_WORKLOADS_DIR) / "fig10_matrix.c"));
+    const auto src = serve::read_source(fs::path(ARA_WORKLOADS_DIR) / "fig10_matrix.c", nullptr);
+    ASSERT_TRUE(src.has_value());
+    cc.add_source(src->name, src->text, src->lang);
     ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
     const auto result = cc.analyze();
     EXPECT_FALSE(result.rows.empty());
@@ -56,7 +59,9 @@ TEST_F(DeterminismTest, WorkloadPipelineCountersAreRunInvariant) {
 TEST_F(DeterminismTest, FortranWorkloadCountersAreRunInvariant) {
   const auto run = [] {
     driver::Compiler cc;
-    ASSERT_TRUE(cc.add_file(fs::path(ARA_WORKLOADS_DIR) / "fig1_add.f"));
+    const auto src = serve::read_source(fs::path(ARA_WORKLOADS_DIR) / "fig1_add.f", nullptr);
+    ASSERT_TRUE(src.has_value());
+    cc.add_source(src->name, src->text, src->lang);
     ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
     const auto result = cc.analyze();
     EXPECT_FALSE(result.rows.empty());

@@ -15,6 +15,7 @@
 #include "obs/report.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
+#include "serve/engine.hpp"
 #include "support/json.hpp"
 
 namespace ara::obs {
@@ -39,7 +40,9 @@ class TraceTest : public ::testing::Test {
 /// Full pipeline on the paper's Fig 10 workload, exporting Dragon files.
 void run_pipeline(const fs::path& out_dir) {
   driver::Compiler cc;
-  ASSERT_TRUE(cc.add_file(fs::path(ARA_WORKLOADS_DIR) / "fig10_matrix.c"));
+  const auto src = serve::read_source(fs::path(ARA_WORKLOADS_DIR) / "fig10_matrix.c", nullptr);
+  ASSERT_TRUE(src.has_value());
+  cc.add_source(src->name, src->text, src->lang);
   ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
   const auto result = cc.analyze();
   std::string error;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cfg/cfg.hpp"
 #include "driver/compiler.hpp"
 #include "obs/stats.hpp"
 #include "rgn/dgn.hpp"
@@ -150,33 +151,6 @@ void pc9(void) {
 }
 )";
 
-TEST(Batch, MatchesMonolithicPipeline) {
-  // The batch engine's linked output must be byte-identical to the
-  // whole-program pipeline on the same sources, at any job count.
-  const std::vector<std::vector<SourceBuffer>> inputs = {
-      fig1_units(), {{"u7.c", kU7, Language::C}, {"u9.c", kU9, Language::C}}};
-  for (const std::vector<SourceBuffer>& sources : inputs) {
-    driver::Compiler cc;
-    for (const SourceBuffer& s : sources) cc.add_source(s.name, s.text, s.lang);
-    ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
-    const ipa::AnalysisResult mono = cc.analyze();
-    const std::string mono_rgn = rgn::write_rgn(mono.rows);
-    const std::string mono_dgn =
-        rgn::write_dgn(ipa::build_dgn_project(cc.program(), mono, "proj"));
-
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      BatchOptions opts;
-      opts.jobs = jobs;
-      const BatchResult batch = run_batch(sources, opts, "proj");
-      ASSERT_TRUE(batch.ok);
-      EXPECT_EQ(rgn::write_rgn(batch.link.rows), mono_rgn)
-          << sources.front().name << " --jobs " << jobs;
-      EXPECT_EQ(rgn::write_dgn(batch.link.project), mono_dgn)
-          << sources.front().name << " --jobs " << jobs;
-    }
-  }
-}
-
 std::vector<SourceBuffer> workload_units(const std::string& dir, const std::string& ext,
                                          Language lang) {
   std::vector<fs::path> paths;
@@ -192,6 +166,38 @@ std::vector<SourceBuffer> workload_units(const std::string& dir, const std::stri
     out.push_back({p.filename().string(), text.str(), lang});
   }
   return out;
+}
+
+TEST(Batch, MatchesMonolithicPipeline) {
+  // The batch engine's linked output must be byte-identical to the
+  // whole-program pipeline (the library's reference implementation) on the
+  // same sources, at any job count: .rgn, .dgn and .cfg.
+  const std::vector<std::vector<SourceBuffer>> inputs = {
+      fig1_units(),
+      {{"u7.c", kU7, Language::C}, {"u9.c", kU9, Language::C}},
+      workload_units("lu", ".f", Language::Fortran)};
+  for (const std::vector<SourceBuffer>& sources : inputs) {
+    driver::Compiler cc;
+    for (const SourceBuffer& s : sources) cc.add_source(s.name, s.text, s.lang);
+    ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
+    const ipa::AnalysisResult mono = cc.analyze();
+    const std::string mono_rgn = rgn::write_rgn(mono.rows);
+    const std::string mono_dgn =
+        rgn::write_dgn(ipa::build_dgn_project(cc.program(), mono, "proj"));
+    const std::string mono_cfg = cfg::write_cfg(cfg::build_all(cc.program()));
+
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      BatchOptions opts;
+      opts.jobs = jobs;
+      const BatchResult batch = run_batch(sources, opts, "proj");
+      ASSERT_TRUE(batch.ok);
+      EXPECT_EQ(rgn::write_rgn(batch.link.rows), mono_rgn)
+          << sources.front().name << " --jobs " << jobs;
+      EXPECT_EQ(rgn::write_dgn(batch.link.project), mono_dgn)
+          << sources.front().name << " --jobs " << jobs;
+      EXPECT_EQ(batch.link.cfg_text, mono_cfg) << sources.front().name << " --jobs " << jobs;
+    }
+  }
 }
 
 TEST(Batch, LinkedCallGraphEqualsWholeProgramGraph) {

@@ -76,14 +76,44 @@ class ProvDeterminismTest : public ::testing::Test {
 };
 
 TEST_F(ProvDeterminismTest, JobCountDoesNotChangeProvenanceBytes) {
+  // A plain run and every --jobs value write the same bytes; so do --loops
+  // runs, whose verdicts sit at one fixed (unit, seq) position whatever the
+  // worker count or the cache state.
+  const std::string cache = (dir_ / "cache").string();
+  ASSERT_EQ(arac(prov_run("plain", {})).rc, 0);
   ASSERT_EQ(arac(prov_run("j1", {"--jobs", "1"})).rc, 0);
   ASSERT_EQ(arac(prov_run("j8", {"--jobs", "8"})).rc, 0);
-  const std::string a = slurp(jsonl("j1"));
-  const std::string b = slurp(jsonl("j8"));
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("\"schema\": \"ara.prov.v1\""), std::string::npos);
-  EXPECT_NE(a.find("\"kind\": "), std::string::npos) << "LU must yield at least one cause";
+  ASSERT_EQ(arac(prov_run("loops", {"--loops"})).rc, 0);
+  ASSERT_EQ(arac(prov_run("loops_j1", {"--loops", "--jobs", "1"})).rc, 0);
+  ASSERT_EQ(arac(prov_run("loops_j8", {"--loops", "--jobs", "8"})).rc, 0);
+  ASSERT_EQ(arac(prov_run("loops_cold", {"--loops", "--cache-dir", cache})).rc, 0);
+  ASSERT_EQ(arac(prov_run("loops_warm", {"--loops", "--jobs", "8", "--cache-dir", cache})).rc,
+            0);
+  const std::string plain = slurp(jsonl("plain"));
+  ASSERT_FALSE(plain.empty());
+  EXPECT_EQ(plain, slurp(jsonl("j1")));
+  EXPECT_EQ(plain, slurp(jsonl("j8")));
+  EXPECT_NE(plain.find("\"schema\": \"ara.prov.v1\""), std::string::npos);
+  EXPECT_NE(plain.find("\"kind\": "), std::string::npos) << "LU must yield at least one cause";
+  EXPECT_EQ(plain.find("loop_not_parallel"), std::string::npos)
+      << "loop verdicts are computed only under --loops";
+
+  // The loop verdicts are appended after every other record, each under the
+  // link unit.
+  const std::string loops = slurp(jsonl("loops"));
+  const std::string body = plain.substr(plain.find('\n') + 1);
+  const std::string loop_body = loops.substr(loops.find('\n') + 1);
+  ASSERT_EQ(loop_body.compare(0, body.size(), body), 0) << loops;
+  std::istringstream tail(loop_body.substr(body.size()));
+  std::size_t loop_records = 0;
+  for (std::string line; std::getline(tail, line); ++loop_records) {
+    EXPECT_EQ(line.rfind("{\"unit\": \"link\", ", 0), 0u) << line;
+    EXPECT_NE(line.find("\"kind\": \"loop_not_parallel\""), std::string::npos) << line;
+  }
+  EXPECT_EQ(loop_records, 18u) << "LU keeps 18 loops serial";
+  for (const char* sub : {"loops_j1", "loops_j8", "loops_cold", "loops_warm"}) {
+    EXPECT_EQ(loops, slurp(jsonl(sub))) << sub;
+  }
 }
 
 TEST_F(ProvDeterminismTest, WarmCacheReplaysProvenanceByteIdentically) {
@@ -110,14 +140,21 @@ TEST_F(ProvDeterminismTest, ExplainNamesACauseForEveryStayedSerialLoop) {
       << r.out;
 }
 
-TEST_F(ProvDeterminismTest, ServeRefusesLoopExplanationsButStillExplainsRegions) {
-  // The batch engine has no whole-program trees; --loops degrades with a
-  // note on stderr while the region causes still render.
-  std::vector<std::string> args = {"--quiet", "--explain", "--loops", "--jobs", "2"};
-  for (const std::string& src : lu_sources()) args.push_back(src);
-  const CliRun r = arac(args);
+TEST_F(ProvDeterminismTest, ParallelRunExplainsLoopsLikeAPlainRun) {
+  // --loops builds the whole-program IR as a by-product at any --jobs
+  // value: the "stayed serial" block matches a plain run's, and the region
+  // causes still render after it.
+  std::vector<std::string> plain_args = {"--quiet", "--explain", "--loops"};
+  for (const std::string& src : lu_sources()) plain_args.push_back(src);
+  std::vector<std::string> jobs_args = plain_args;
+  jobs_args.insert(jobs_args.begin() + 3, {"--jobs", "2"});
+  const CliRun plain = arac(plain_args);
+  const CliRun r = arac(jobs_args);
+  ASSERT_EQ(plain.rc, 0) << plain.err;
   ASSERT_EQ(r.rc, 0) << r.err;
-  EXPECT_NE(r.err.find("--loops"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err, "");
+  EXPECT_EQ(plain.out, r.out);
+  EXPECT_NE(r.out.find("explain: 18 loop(s) stayed serial:"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("precision-loss cause"), std::string::npos) << r.out;
 }
 
