@@ -87,7 +87,7 @@ BENCHMARK(BM_AnalysisOnly)->Unit(benchmark::kMillisecond);
 void BM_IntraproceduralOnly(benchmark::State& state) {
   // Ablation: IPL without the IPA propagation (-IPA off).
   auto cc = ara::bench::compile_lu();
-  ara::ipa::AnalyzeOptions opts;
+  ara::serve::LinkOptions opts;
   opts.interprocedural = false;
   for (auto _ : state) {
     auto result = cc->analyze(opts);

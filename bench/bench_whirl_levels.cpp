@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "ir/mlower.hpp"
+#include "serve/link.hpp"
 
 namespace {
 
@@ -24,7 +25,7 @@ void print_reproduction() {
   const auto h_result = cc->analyze();
 
   const ara::ir::Program m_program = ara::ir::lower_program_to_m(cc->program());
-  const auto m_result = ara::ipa::analyze(m_program);
+  const auto m_result = ara::serve::analyze_program(m_program);
 
   std::size_t h_nodes = 0, m_nodes = 0, h_arrays = 0, m_arrays = 0;
   for (const auto& p : cc->program().procedures) {
@@ -62,7 +63,7 @@ void BM_AnalyzeAtLevel(benchmark::State& state) {
       m_level ? ara::ir::lower_program_to_m(cc->program()) : ara::ir::Program{};
   const ara::ir::Program& program = m_level ? m_program : cc->program();
   for (auto _ : state) {
-    auto result = ara::ipa::analyze(program);
+    auto result = ara::serve::analyze_program(program);
     benchmark::DoNotOptimize(result.rows.size());
   }
   state.SetLabel(m_level ? "M-WHIRL" : "H-WHIRL");

@@ -444,7 +444,7 @@ std::string DaemonServer::handle_analyze(const json::Value& params) {
   bopts.jobs = static_cast<std::size_t>(
       param_u64(params, "jobs", static_cast<std::uint64_t>(opts_.analyze_jobs)));
   bopts.cache_dir = param_string(params, "cache_dir");
-  bopts.use_cache = param_bool(params, "use_cache", true);
+  if (!param_bool(params, "use_cache", true)) bopts.cache_dir.clear();
   bopts.interprocedural = param_bool(params, "ipa", true);
 
   // Deadline: the request's own deadline_ms, else the daemon default.

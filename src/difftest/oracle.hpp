@@ -1,7 +1,7 @@
 // Dynamic access oracle + comparator for the differential-testing harness.
 //
 // One generated program flows through the full pipeline twice:
-//   static  — driver::Compiler -> ipa::analyze(), yielding AccessRecords
+//   static  — driver::Compiler::compile + analyze(), yielding AccessRecords
 //   dynamic — interp::Interpreter, yielding the exact touched-element sets
 // and the comparator checks the paper's soundness contract between the two:
 // every dynamically touched element must lie inside some static region of

@@ -363,8 +363,7 @@ int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
 
   serve::BatchOptions bopts;
   bopts.jobs = cli.jobs > 0 ? static_cast<std::size_t>(cli.jobs) : 1;
-  bopts.cache_dir = cli.cache_dir;
-  bopts.use_cache = !cli.no_cache;
+  bopts.cache_dir = cli.no_cache ? "" : cli.cache_dir;
   bopts.interprocedural = !cli.no_ipa;
   bopts.limits = cli.limits;
   const serve::BatchResult result = serve::run_batch(*sources, bopts, cli.name);
@@ -412,7 +411,7 @@ int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
     }
     out << "\n";
     out << rgn::render_table(result.link.rows);
-    if (!bopts.cache_dir.empty() && bopts.use_cache) {
+    if (!bopts.cache_dir.empty()) {
       out << "cache: " << result.cache_hits << " hits, " << result.cache_misses << " misses\n";
     }
   }

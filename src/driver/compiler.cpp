@@ -38,9 +38,10 @@ bool Compiler::compile() {
   return compiled_;
 }
 
-ipa::AnalysisResult Compiler::analyze(const ipa::AnalyzeOptions& opts) const {
+ipa::AnalysisResult Compiler::analyze(serve::LinkOptions opts) const {
   ARA_SPAN("analyze", "driver");
-  return ipa::analyze(*program_, opts);
+  opts.layout = opts_.layout;
+  return serve::analyze_program(*program_, opts);
 }
 
 bool export_dragon_files(const ir::Program& program, const ipa::AnalysisResult& result,

@@ -1,7 +1,10 @@
 // Compiler driver: the user-facing facade that mirrors the paper's workflow
 // (§V-B): compile the application with `-IPA:array_section:array_summary
 // -dragon`, producing `.dgn`, `.cfg` and `.rgn` files, then load the project
-// in Dragon.
+// in Dragon. compile() is the one front-end pass; analyze() summarizes that
+// compile per file and links the summaries (serve::analyze_program), the
+// same link the batch engine runs, so the program's WHIRL stays available
+// to the interpreter, lno and the Dragon advisors.
 //
 //   ara::driver::Compiler cc;
 //   cc.add_source("matrix.c", text, Language::C);
@@ -20,6 +23,7 @@
 #include "ir/program.hpp"
 #include "rgn/dgn.hpp"
 #include "rgn/region_row.hpp"
+#include "serve/link.hpp"
 #include "support/diagnostics.hpp"
 
 namespace ara::driver {
@@ -40,8 +44,9 @@ class Compiler {
   /// Parse + sema + lowering + layout. False on any error diagnostic.
   bool compile();
 
-  /// Runs Algorithm 1 (requires a successful compile()).
-  [[nodiscard]] ipa::AnalysisResult analyze(const ipa::AnalyzeOptions& opts = {}) const;
+  /// Runs Algorithm 1 on the compiled program (requires a successful
+  /// compile()). The layout always follows CompilerOptions::layout.
+  [[nodiscard]] ipa::AnalysisResult analyze(serve::LinkOptions opts = {}) const;
 
   [[nodiscard]] ir::Program& program() { return *program_; }
   [[nodiscard]] const ir::Program& program() const { return *program_; }

@@ -1,23 +1,14 @@
 #include "ipa/analyzer.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 #include "obs/stats.hpp"
-#include "obs/timeline.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::ipa {
 
-ARA_STATISTIC(stat_procs_analyzed, "ipa.procs_analyzed", "Procedures through local ARA");
 ARA_STATISTIC(stat_rows_built, "ipa.rows_built", "Region table rows assembled");
-ARA_STATISTIC(stat_summaries_propagated, "ipa.summaries_propagated",
-              "Callee side-effect summaries translated into callers");
-ARA_STATISTIC(stat_callsites, "ipa.callsites_translated", "Call sites translated");
-ARA_STATISTIC(stat_passes, "ipa.propagation_passes", "Bottom-up propagation passes run");
-ARA_STATISTIC(stat_interproc_records, "ipa.interproc_records",
-              "IDEF/IUSE records generated from callee effects");
 
 using regions::AccessMode;
 
@@ -140,50 +131,6 @@ std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
     return a.line < b.line;
   });
   return rows;
-}
-
-AnalysisResult analyze(const ir::Program& program, const AnalyzeOptions& opts) {
-  AnalysisResult result;
-  {
-    ARA_SPAN("callgraph", "ipa");
-    result.callgraph = CallGraph::build(program);
-  }
-
-  LocalAnalyzer local(program);
-  std::vector<SideEffects> local_effects;
-  local_effects.reserve(result.callgraph.size());
-  {
-    ARA_SPAN("local-ARA", "ipa");
-    for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
-      const CGNode& node = result.callgraph.node(i);
-      obs::Span proc_span(program.symtab.st(node.proc_st).name, "ipa");
-      stat_procs_analyzed.bump();
-      LocalSummary ls = local.analyze(node);
-      std::move(ls.records.begin(), ls.records.end(), std::back_inserter(result.records));
-      local_effects.push_back(std::move(ls.side_effects));
-    }
-  }
-
-  if (opts.interprocedural) {
-    ARA_SPAN("IPA-propagate", "ipa");
-    Propagation prop = propagate(program, result.callgraph, local_effects);
-    stat_callsites.bump(prop.callsites_translated);
-    stat_summaries_propagated.bump(prop.summaries_propagated);
-    stat_passes.bump(prop.passes);
-    stat_interproc_records.bump(prop.interproc_records.size());
-    result.side_effects = std::move(prop.side_effects);
-    result.formal_binding = std::move(prop.formal_binding);
-    std::move(prop.interproc_records.begin(), prop.interproc_records.end(),
-              std::back_inserter(result.records));
-  } else {
-    result.side_effects = std::move(local_effects);
-  }
-
-  {
-    ARA_SPAN("build-rows", "ipa");
-    result.rows = build_rows(program, result);
-  }
-  return result;
 }
 
 rgn::DgnProject build_dgn_project(const ir::Program& program, const AnalysisResult& result,

@@ -1,7 +1,10 @@
-// Top-level array region analysis: Algorithm 1 of the paper. Traverses the
-// call graph, runs IPL local summaries, propagates them interprocedurally
-// (when `-IPA:array_section:array_summary` is on), computes access densities
-// and assembles the `.rgn` rows for Dragon.
+// The result of array region analysis (Algorithm 1 of the paper) and the
+// two artifact builders over it: the `.rgn` rows for Dragon, with access
+// densities, and the `.dgn` project. The one pipeline that fills an
+// AnalysisResult is serve::summarize (call graph + IPL local summaries)
+// followed by serve::link_units (interprocedural propagation when
+// `-IPA:array_section:array_summary` is on, then the rows); the library
+// reaches it through driver::Compiler::analyze / serve::analyze_program.
 #pragma once
 
 #include <map>
@@ -9,18 +12,11 @@
 
 #include "ipa/callgraph.hpp"
 #include "ipa/interproc.hpp"
-#include "ipa/local.hpp"
+#include "ipa/summary.hpp"
 #include "rgn/dgn.hpp"
 #include "rgn/region_row.hpp"
 
 namespace ara::ipa {
-
-/// Mirrors the paper's compile flags (§V-B step 1): `-IPA:array_section:
-/// array_summary` enables interprocedural propagation; `-dragon` keeps
-/// per-reference rows for the GUI.
-struct AnalyzeOptions {
-  bool interprocedural = true;
-};
 
 struct AnalysisResult {
   CallGraph callgraph;
@@ -34,9 +30,7 @@ struct AnalysisResult {
                                               const ir::Program& program) const;
 };
 
-[[nodiscard]] AnalysisResult analyze(const ir::Program& program, const AnalyzeOptions& opts = {});
-
-/// Rebuilds only the display rows from the records (used after filtering).
+/// Builds the display rows from the records.
 [[nodiscard]] std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
                                                      const AnalysisResult& result);
 

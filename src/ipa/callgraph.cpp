@@ -90,6 +90,15 @@ CallGraph CallGraph::from_nodes(std::vector<CGNode> nodes) {
   return cg;
 }
 
+void CallGraph::bind_whirl(const ir::Program& program) {
+  std::map<ir::StIdx, const ir::ProcedureIR*> whirl;
+  for (const ir::ProcedureIR& p : program.procedures) whirl.emplace(p.proc_st, &p);
+  for (CGNode& node : nodes_) {
+    const auto it = whirl.find(node.proc_st);
+    node.proc = it != whirl.end() ? it->second : nullptr;
+  }
+}
+
 std::size_t CallGraph::edge_count() const {
   std::size_t n = 0;
   for (const CGNode& node : nodes_) n += node.callsites.size();

@@ -2,10 +2,12 @@
 // the caller-callee relationships are expressed by the edges. This call
 // graph should be traversed to extract the necessary array analysis
 // information" (§IV-A). Each node carries the procedure's symbol-table
-// handle and defining file, plus its WHIRL tree when built from a
-// whole-program compile (Fig 4 / Algorithm 1). The serve engine's link
-// phase builds the same graph from per-unit summaries (no WHIRL), so call
-// sites carry their actuals pre-digested rather than as CALL nodes.
+// handle and defining file, plus its WHIRL tree when the program's WHIRL
+// is in memory (Fig 4 / Algorithm 1). CallGraph::build makes the graph from
+// WHIRL to drive local analysis; the link phase (serve/link.hpp) rebuilds
+// the same graph from unit summaries, which is why call sites carry their
+// actuals pre-digested rather than as CALL nodes, and the library binds
+// its nodes back to the compile's WHIRL (bind_whirl).
 #pragma once
 
 #include <cstdint>
@@ -28,14 +30,14 @@ struct Actual {
   friend bool operator==(const Actual&, const Actual&) = default;
 };
 
-/// Digests a CALL node's actuals by position. The one helper behind both
-/// CallGraph::build and the serve engine's unit summaries, so the two
-/// graphs carry identical actuals.
+/// Digests a CALL node's actuals by position: the one helper behind
+/// CallGraph::build, whose call sites the unit summaries carry to the link.
 [[nodiscard]] std::vector<Actual> digest_actuals(const ir::WN& call,
                                                  const ir::SymbolTable& symtab);
 
 /// Callee slot of a call site whose target is not in the graph: in a single
-/// unit's graph, a call to a procedure another unit defines; in a degraded
+/// unit's graph, a call to a procedure another unit defines; in a unit
+/// summary, every call until the link resolves it by name; in a degraded
 /// batch link, a call whose defining unit failed to analyze.
 inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 
@@ -51,7 +53,7 @@ struct CallSite {
 struct CGNode {
   ir::StIdx proc_st = ir::kInvalidSt;
   FileId file = kInvalidFileId;           // defining translation unit
-  const ir::ProcedureIR* proc = nullptr;  // WHIRL; null in a graph linked from summaries
+  const ir::ProcedureIR* proc = nullptr;  // WHIRL; null in a linked graph until bind_whirl
   std::vector<CallSite> callsites;        // out-edges, in source order
   std::vector<std::uint32_t> callers;     // in-edges (node indices, deduplicated)
   bool is_root = false;                   // no callers (program entry)
@@ -64,6 +66,9 @@ class CallGraph {
   /// Completes a graph whose nodes and resolved call sites are given:
   /// derives callers, roots and the cycle flag exactly as build() does.
   [[nodiscard]] static CallGraph from_nodes(std::vector<CGNode> nodes);
+
+  /// Points every node's `proc` at its WHIRL in `program`, by proc_st.
+  void bind_whirl(const ir::Program& program);
 
   [[nodiscard]] const std::vector<CGNode>& nodes() const { return nodes_; }
   [[nodiscard]] const CGNode& node(std::uint32_t i) const { return nodes_.at(i); }

@@ -184,7 +184,6 @@ Propagation propagate(const ir::Program& program, const CallGraph& cg,
       }
       out.emplace_back(caller_st, mode, std::move(translated));
     }
-    result.summaries_propagated += out.size();
     return out;
   };
 

@@ -8,9 +8,9 @@
 // results are the IDEF/IUSE rows of Fig 1. Recursion is handled by iterating
 // to a fixpoint (region lists are bounded, so this terminates).
 //
-// This is the only propagation: the whole-program analyzer runs it over the
-// graph CallGraph::build makes from WHIRL, and the serve engine's link phase
-// over the same graph type rebuilt from unit summaries.
+// This is the only propagation. Its one caller is the link phase
+// (serve/link.hpp), over the call graph rebuilt from unit summaries, for the
+// batch engine and the library alike.
 #pragma once
 
 #include <map>
@@ -30,10 +30,8 @@ struct Propagation {
   /// address.
   std::map<ir::StIdx, ir::StIdx> formal_binding;
   /// Work done, for the caller's own counters: call-site translations
-  /// (fixed-point passes and the record sweep), callee (array, mode)
-  /// summaries they produced, and fixed-point passes.
+  /// (fixed-point passes and the record sweep) and fixed-point passes.
   std::uint64_t callsites_translated = 0;
-  std::uint64_t summaries_propagated = 0;
   std::uint64_t passes = 0;
 };
 

@@ -31,6 +31,8 @@ struct AccessRecord {
   ir::StIdx scope_proc = ir::kInvalidSt;  // procedure whose table shows the row
   FileId file = kInvalidFileId;           // TU where the access happens
   std::uint32_t line = 0;
+
+  friend bool operator==(const AccessRecord&, const AccessRecord&) = default;
 };
 
 /// Regions + reference count for one (array, mode) pair. Region lists are

@@ -54,10 +54,10 @@ enum class CauseKind : std::uint8_t {
 /// every real unit and renders as "link" in the JSONL export.
 inline constexpr std::uint32_t kLinkUnit = 0xffffffffu;
 
-/// One cause record. `unit` is the translation-unit input index (0 in the
-/// monolithic pipeline, kLinkUnit for link-phase records); `seq` is the
-/// capture order within the unit — together they are the deterministic
-/// merge key. `dim` is the 0-based dimension index, -1 when the cause is
+/// One cause record. `unit` is the translation-unit input index (the sink's
+/// unit for a library analysis, kLinkUnit for batch link-phase records);
+/// `seq` is the capture order within the unit — together they are the
+/// deterministic merge key. `dim` is the 0-based dimension index, -1 when the cause is
 /// not about one dimension (calls, loops, whole-unit demotions).
 struct ProvRecord {
   std::uint32_t unit = 0;

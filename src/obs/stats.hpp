@@ -3,7 +3,7 @@
 // on the hot path; the cost per event is a single load + branch on the
 // global enabled flag (verified by bench/bench_obs_overhead.cpp). Counter
 // names are dot-namespaced by subsystem, e.g. `frontend.tokens`,
-// `regions.fm_eliminations`, `ipa.summaries_propagated`.
+// `regions.fm_eliminations`, `serve.link_callsites`.
 //
 //   ARA_STATISTIC(stat_tokens, "frontend.tokens", "Tokens lexed");
 //   ...

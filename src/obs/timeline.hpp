@@ -1,8 +1,8 @@
 // Hierarchical phase/span timers. An ARA_SPAN at the top of a phase opens
 // an interval on the global Timeline; nesting follows scope nesting via an
 // explicit open-span stack, so the completed events form a forest
-// (lex → parse → sema → lower → local-ARA → IPA-propagate → export, with
-// per-procedure children inside the analysis phases). Completed events feed
+// (lex → parse → sema → lower → local-ARA → link → link-propagate →
+// link-rows → export, with per-procedure children inside the propagation). Completed events feed
 // the Chrome trace writer (obs/trace.hpp) and the text time report
 // (obs/report.hpp).
 //

@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "cfg/cfg.hpp"
 #include "frontend/compile.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/provenance.hpp"
@@ -110,9 +111,9 @@ std::size_t IncrementalState::resident_bytes() const {
     total += s.symbols.size() * (sizeof(SymInfo) + 24);
     for (const ProcSummary& p : s.procs) {
       total += sizeof(ProcSummary);
-      total += p.records.size() * (sizeof(RecordSummary) + 64);
-      total += p.effects.size() * (sizeof(EffectSummary) + 64);
-      total += p.callsites.size() * (sizeof(CallSummary) + 32);
+      total += p.records.size() * (sizeof(ipa::AccessRecord) + 64);
+      total += p.effects.effects.size() * (sizeof(ipa::ModeRegions) + 64);
+      total += p.callsites.size() * (sizeof(ipa::CallSite) + 32);
     }
     total += s.externs.size() * sizeof(ExternSummary);
     total += s.provenance.size() * (sizeof(obs::ProvRecord) + 48);
@@ -131,7 +132,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   BatchResult result;
   result.units.resize(sources.size());
 
-  const SummaryCache cache(opts.cache_dir, opts.use_cache && !opts.cache_dir.empty());
+  const SummaryCache cache(opts.cache_dir, !opts.cache_dir.empty());
   const std::string flags = flags_string(opts);
 
   // Cross-unit global-declaration import (scoped v1: C units only): the
@@ -298,7 +299,12 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
         stat_units_analyzed.bump();
         {
           obs::ScopedLatency summarize_latency(hist_unit_summarize);
-          summaries[i] = summarize_unit(program, externs, unit_imports[i]);
+          summaries[i] = std::move(summarize(program, externs, unit_imports[i]).front());
+          // CFG text without the "CFG 1" header, so the link phase can
+          // concatenate units under a single header.
+          std::string cfg = cfg::write_cfg(cfg::build_all(program));
+          if (const std::size_t nl = cfg.find('\n'); nl != std::string::npos) cfg.erase(0, nl + 1);
+          summaries[i]->cfg_text = std::move(cfg);
         }
         summaries[i]->diagnostics = report.diagnostics;
         summaries[i]->provenance = unit_prov[i];
@@ -433,7 +439,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   std::vector<obs::ProvRecord> link_prov;
   {
     const obs::ProvSink link_sink(&link_prov, obs::kLinkUnit);
-    result.link = link_units(units, unit_texts, lopts, name);
+    result.link = link_units(std::move(units), unit_texts, lopts, name);
   }
   for (std::vector<obs::ProvRecord>& up : unit_prov) {
     result.provenance.insert(result.provenance.end(), std::make_move_iterator(up.begin()),

@@ -4,8 +4,10 @@
 // summarization — on a work-stealing thread pool, one task per translation
 // unit, consulting the persistent summary cache first so unchanged files
 // skip the front end entirely; then it joins the summaries in the serial
-// link phase (serve/link.hpp) into the same .rgn/.dgn/.cfg outputs the
-// library's whole-program pipeline (driver::Compiler) produces.
+// link phase (serve/link.hpp). The library (driver::Compiler::analyze)
+// compiles the whole program once instead and links the per-file summaries
+// of that compile through the same link, so both produce the same
+// .rgn/.dgn/.cfg outputs.
 //
 // Output bytes are a function of the input sources and options only: not of
 // --jobs, not of cache hits vs misses. tests/serve enforces this.
@@ -35,8 +37,7 @@ namespace ara::serve {
 
 struct BatchOptions {
   std::size_t jobs = 1;   // worker threads; 0 = hardware concurrency
-  std::string cache_dir;  // empty = caching disabled
-  bool use_cache = true;  // false = --no-cache (ignore and don't write entries)
+  std::string cache_dir;  // empty = caching disabled (--no-cache clears it)
   bool interprocedural = true;
   /// Per-unit resource guards, installed around each unit task (LimitScope).
   support::ResourceLimits limits;
@@ -89,7 +90,8 @@ struct BatchResult {
   /// Cache hits served from IncrementalState memory without touching disk
   /// (daemon warm state); a subset of cache_hits.
   std::uint64_t resident_hits = 0;
-  /// Valid when ok or partial: rows, .dgn project, .cfg text, the
+  /// Valid when ok or partial: the linked analysis (records, side effects,
+  /// formal binding, call graph, rows), .dgn project, .cfg text, the
   /// reconstructed program, and link diagnostics.
   LinkResult link;
   /// Provenance cause records, merged in (unit, seq) order: per-unit records

@@ -17,7 +17,7 @@ ARA_STATISTIC(stat_index_globals, "serve.index_globals",
 namespace {
 
 /// Constant-folds a dimension bound expression — must mirror Sema::fold so
-/// the imported shape equals the shape the monolithic front end would give
+/// the imported shape equals the shape the whole-program front end would give
 /// the reference.
 std::optional<std::int64_t> fold(const fe::Expr* e) {
   if (e == nullptr) return std::nullopt;

@@ -9,7 +9,7 @@
 // fe::GlobalImportTable that sema consults before erroring. Symbols resolved
 // this way are marked SymInfo::Kind::Import in the unit summary and bound to
 // the declaring unit's Global at link time, so the linked symbol table — and
-// every exported byte — matches the monolithic pipeline.
+// every exported byte — matches a whole-program compile's (the library's).
 #pragma once
 
 #include <string>

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <iterator>
 #include <set>
+#include <stdexcept>
 
 #include "ipa/interproc.hpp"
 #include "obs/histogram.hpp"
@@ -26,23 +27,12 @@ namespace {
 
 ir::TyIdx make_ty(ir::SymbolTable& symtab, const SymInfo& s) {
   if (!s.is_array) return symtab.make_scalar_ty(s.mtype);
-  std::vector<ir::ArrayDim> dims;
-  dims.reserve(s.dims.size());
-  for (const SymDim& d : s.dims) {
-    ir::ArrayDim out;
-    out.lb = d.lb;
-    out.ub = d.ub;
-    out.lb_sym = d.lb_sym;
-    out.ub_sym = d.ub_sym;
-    dims.push_back(std::move(out));
-  }
-  return symtab.make_array_ty(s.mtype, std::move(dims), s.row_major, s.noncontiguous,
-                              s.coarray);
+  return symtab.make_array_ty(s.mtype, s.dims, s.row_major, s.noncontiguous, s.coarray);
 }
 
 }  // namespace
 
-LinkResult link_units(const std::vector<UnitSummary>& units,
+LinkResult link_units(std::vector<UnitSummary> units,
                       const std::vector<std::string>& texts, const LinkOptions& opts,
                       const std::string& name) {
   ARA_SPAN("link", "serve");
@@ -148,7 +138,7 @@ LinkResult link_units(const std::vector<UnitSummary>& units,
 
   // Imports: a global referenced by this unit but declared by a sibling
   // binds to the sibling's Phase-B symbol — no new ST is created, so the
-  // linked table replays the monolithic front end's creation order exactly
+  // linked table replays the whole-program front end's creation order exactly
   // (the declaring unit's position wins, as in declare_globals).
   for (std::size_t u = 0; u < units.size(); ++u) {
     const auto t0 = tick();
@@ -239,12 +229,12 @@ LinkResult link_units(const std::vector<UnitSummary>& units,
 
   ir::assign_layout(program, opts.layout);
 
-  // The link call graph, the same ipa::CallGraph the monolithic pipeline
-  // builds from WHIRL: nodes in unit/definition order (== its procedure
-  // order), edges resolved by name, actuals remapped into the linked symbol
-  // table. Outside degraded mode every extern resolved above; with dropped
-  // units a callee may be missing, and its call sites keep their name for
-  // the .dgn.
+  // The link call graph, the same ipa::CallGraph CallGraph::build makes
+  // from a whole-program compile: nodes in unit/definition order (== its
+  // procedure order), edges resolved by name, actuals remapped into the
+  // linked symbol table. Outside degraded mode every extern resolved above;
+  // with dropped units a callee may be missing, and its call sites keep
+  // their name for the .dgn.
   std::map<std::string, std::uint32_t> node_of;
   std::vector<ipa::CGNode> nodes;
   for (std::size_t u = 0; u < units.size(); ++u) {
@@ -253,71 +243,62 @@ LinkResult link_units(const std::vector<UnitSummary>& units,
       nodes.push_back(ipa::CGNode{mapped(u, p.sym), file_of(u), nullptr, {}, {}, false});
     }
   }
-  // Per node: call sites, local side effects and local records. The side
-  // effects are copied verbatim, so propagation starts from exactly what
-  // local analysis produced, as in the monolithic pipeline. The record
-  // stream is assembled like ipa::analyze's: local records in node order,
-  // then the interprocedural records.
+  // Per node: call sites, local side effects and local records, moved out of
+  // the summaries and renumbered into the linked table. Propagation starts
+  // from exactly what local analysis produced; the record stream is the
+  // local records in node order, then the interprocedural records.
   std::vector<ipa::SideEffects> local_effects(nodes.size());
-  ipa::AnalysisResult analysis;
   std::size_t n = 0;
   for (std::size_t u = 0; u < units.size(); ++u) {
     const auto t0 = tick();
-    for (const ProcSummary& p : units[u].procs) {
-      for (const CallSummary& cs : p.callsites) {
-        ipa::CallSite site{ipa::kNoNode, cs.line, cs.actuals, {}};
-        if (const auto it = node_of.find(cs.callee); it != node_of.end()) {
+    auto remap = [&](ir::StIdx unit_st) { return mapped(u, unit_st - 1); };
+    for (ProcSummary& p : units[u].procs) {
+      for (ipa::CallSite& site : p.callsites) {
+        if (const auto it = node_of.find(site.unresolved); it != node_of.end()) {
           site.callee = it->second;
-        } else {
-          site.unresolved = cs.callee;
+          site.unresolved.clear();
         }
         for (ipa::Actual& a : site.actuals) {
-          if (a.array != ir::kInvalidSt) a.array = mapped(u, a.array - 1);
+          if (a.array != ir::kInvalidSt) a.array = remap(a.array);
         }
-        nodes[n].callsites.push_back(std::move(site));
       }
-      for (const EffectSummary& eff : p.effects) {
-        const ir::StIdx st = mapped(u, eff.sym);
-        if (st != ir::kInvalidSt) local_effects[n].effects[{st, eff.mode}] = eff.regions;
+      nodes[n].callsites = std::move(p.callsites);
+      for (auto& [key, mr] : p.effects.effects) {
+        const ir::StIdx st = remap(key.first);
+        if (st != ir::kInvalidSt) local_effects[n].effects[{st, key.second}] = std::move(mr);
       }
-      for (const RecordSummary& r : p.records) {
-        const ir::StIdx arr = mapped(u, r.sym);
-        if (arr == ir::kInvalidSt) continue;  // unresolved import (degraded mode)
-        ipa::AccessRecord rec;
-        rec.array = arr;
-        rec.mode = r.mode;
-        rec.remote = r.remote;
-        rec.image = r.image;
-        rec.region = r.region;
-        rec.refs = r.refs;
+      for (ipa::AccessRecord& rec : p.records) {
+        rec.array = remap(rec.array);
+        if (rec.array == ir::kInvalidSt) continue;  // unresolved import (degraded mode)
         rec.scope_proc = nodes[n].proc_st;
         rec.file = file_of(u);
-        rec.line = r.line;
-        analysis.records.push_back(std::move(rec));
+        result.records.push_back(std::move(rec));
       }
       ++n;
     }
     tock(u, t0);
   }
-  analysis.callgraph = ipa::CallGraph::from_nodes(std::move(nodes));
+  result.callgraph = ipa::CallGraph::from_nodes(std::move(nodes));
 
-  if (opts.interprocedural && analysis.callgraph.size() != 0) {
+  if (opts.interprocedural && result.callgraph.size() != 0) {
     ARA_SPAN("link-propagate", "serve");
-    ipa::Propagation prop = ipa::propagate(program, analysis.callgraph, local_effects);
+    ipa::Propagation prop = ipa::propagate(program, result.callgraph, local_effects);
     stat_link_callsites.bump(prop.callsites_translated);
     stat_link_passes.bump(prop.passes);
     stat_link_records.bump(prop.interproc_records.size());
-    analysis.formal_binding = std::move(prop.formal_binding);
+    result.side_effects = std::move(prop.side_effects);
+    result.formal_binding = std::move(prop.formal_binding);
     std::move(prop.interproc_records.begin(), prop.interproc_records.end(),
-              std::back_inserter(analysis.records));
+              std::back_inserter(result.records));
+  } else {
+    result.side_effects = std::move(local_effects);
   }
 
   {
     ARA_SPAN("link-rows", "serve");
-    result.rows = ipa::build_rows(program, analysis);
+    result.rows = ipa::build_rows(program, result);
   }
-  result.project = ipa::build_dgn_project(program, analysis, name);
-  result.callgraph = std::move(analysis.callgraph);
+  result.project = ipa::build_dgn_project(program, result, name);
 
   // .cfg: one header, then each unit's pre-rendered sections in order.
   result.cfg_text = "CFG 1\n";
@@ -327,6 +308,18 @@ LinkResult link_units(const std::vector<UnitSummary>& units,
 
   result.ok = true;
   return result;
+}
+
+ipa::AnalysisResult analyze_program(const ir::Program& program, const LinkOptions& opts) {
+  LinkResult link = link_units(summarize(program), {}, opts, "");
+  // A program that compiled links cleanly, onto its own StIdx values; the
+  // caller indexes the compile's symbol table with the linked records.
+  if (!link.ok || link.program->symtab.st_count() != program.symtab.st_count()) {
+    throw std::logic_error("analyze_program: the link did not replay the compiled program: " +
+                           link.diags.render());
+  }
+  link.callgraph.bind_whirl(program);
+  return std::move(static_cast<ipa::AnalysisResult&>(link));
 }
 
 }  // namespace ara::serve

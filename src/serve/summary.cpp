@@ -1,11 +1,13 @@
 #include "serve/summary.hpp"
 
+#include <map>
+#include <set>
 #include <sstream>
 
-#include "cfg/cfg.hpp"
 #include "ipa/callgraph.hpp"
 #include "ipa/local.hpp"
 #include "ipa/summary_io.hpp"
+#include "obs/timeline.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::serve {
@@ -67,11 +69,11 @@ std::optional<ir::Mtype> mtype_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::string write_dims(const std::vector<SymDim>& dims) {
+std::string write_dims(const std::vector<ir::ArrayDim>& dims) {
   if (dims.empty()) return "-";
   std::ostringstream os;
   for (std::size_t i = 0; i < dims.size(); ++i) {
-    const SymDim& d = dims[i];
+    const ir::ArrayDim& d = dims[i];
     if (i != 0) os << '|';
     os << (d.lb ? std::to_string(*d.lb) : "?") << ';'
        << (d.ub ? std::to_string(*d.ub) : "?") << ';' << io::enc(d.lb_sym) << ';'
@@ -80,14 +82,14 @@ std::string write_dims(const std::vector<SymDim>& dims) {
   return os.str();
 }
 
-std::optional<std::vector<SymDim>> read_dims(std::string_view tok) {
-  std::vector<SymDim> out;
+std::optional<std::vector<ir::ArrayDim>> read_dims(std::string_view tok) {
+  std::vector<ir::ArrayDim> out;
   if (tok == "-") return out;
   while (!tok.empty()) {
     const std::size_t bar = tok.find('|');
     std::string_view one = tok.substr(0, bar);
     tok = bar == std::string_view::npos ? std::string_view{} : tok.substr(bar + 1);
-    SymDim d;
+    ir::ArrayDim d;
     std::string_view fields[4];
     for (int f = 0; f < 4; ++f) {
       const std::size_t semi = one.find(';');
@@ -209,23 +211,27 @@ bool read_bool_tok(std::string_view tok, bool* out) {
 
 }  // namespace
 
-UnitSummary summarize_unit(const ir::Program& program,
-                           const std::vector<fe::ExternRef>& externs,
-                           const std::vector<std::string>& imported_globals) {
-  UnitSummary unit;
-  unit.source_name = program.sources.name(1);
-  unit.language = program.sources.language(1);
+std::vector<UnitSummary> summarize(const ir::Program& program,
+                                   const std::vector<fe::ExternRef>& externs,
+                                   const std::vector<std::string>& imported_globals) {
+  const ir::SymbolTable& symtab = program.symtab;
+  std::vector<UnitSummary> units(program.sources.file_count());
+  for (FileId f = 1; f <= units.size(); ++f) {
+    units[f - 1].source_name = program.sources.name(f);
+    units[f - 1].language = program.sources.language(f);
+  }
+  const ipa::CallGraph cg = ipa::CallGraph::build(program);
+  std::vector<char> defined(symtab.st_count() + 1, 0);
+  for (const ipa::CGNode& node : cg.nodes()) defined[node.proc_st] = 1;
   const std::set<std::string> imported(imported_globals.begin(), imported_globals.end());
 
-  // Symbols, in creation order (unit StIdx i -> symbols[i-1]).
-  for (ir::StIdx idx : program.symtab.all_sts()) {
-    const ir::St& st = program.symtab.st(idx);
-    const ir::Ty& ty = program.symtab.ty(st.ty);
+  auto sym_info = [&](ir::StIdx idx, SymInfo::Kind kind) {
+    const ir::St& st = symtab.st(idx);
+    const ir::Ty& ty = symtab.ty(st.ty);
     SymInfo info;
+    info.kind = kind;
     info.name = st.name;
-    if (st.owner_proc != ir::kInvalidSt) {
-      info.owner = to_lower(program.symtab.st(st.owner_proc).name);
-    }
+    if (st.owner_proc != ir::kInvalidSt) info.owner = to_lower(symtab.st(st.owner_proc).name);
     info.formal_pos = st.formal_pos;
     info.line = st.loc.line;
     info.col = st.loc.col;
@@ -234,71 +240,80 @@ UnitSummary summarize_unit(const ir::Program& program,
     info.row_major = ty.row_major;
     info.noncontiguous = ty.noncontiguous;
     info.coarray = ty.coarray;
-    for (const ir::ArrayDim& d : ty.dims) {
-      info.dims.push_back(SymDim{d.lb, d.ub, d.lb_sym, d.ub_sym});
-    }
+    info.dims = ty.dims;
+    return info;
+  };
+
+  // Each file lists the symbols it declares, in creation order; `own` is
+  // every symbol's unit StIdx within its declaring file.
+  std::vector<ir::StIdx> own(symtab.st_count() + 1, ir::kInvalidSt);
+  for (ir::StIdx idx : symtab.all_sts()) {
+    const ir::St& st = symtab.st(idx);
+    SymInfo::Kind kind = SymInfo::Kind::Local;
     if (st.sclass == ir::StClass::Proc) {
-      info.kind = program.find_procedure(idx) != nullptr ? SymInfo::Kind::Proc
-                                                         : SymInfo::Kind::Extern;
+      kind = defined[idx] != 0 ? SymInfo::Kind::Proc : SymInfo::Kind::Extern;
     } else if (st.storage == ir::StStorage::Global) {
-      info.kind = imported.count(to_lower(st.name)) != 0 ? SymInfo::Kind::Import
-                                                         : SymInfo::Kind::Global;
+      kind = imported.count(to_lower(st.name)) != 0 ? SymInfo::Kind::Import
+                                                    : SymInfo::Kind::Global;
     } else if (st.storage == ir::StStorage::Formal) {
-      info.kind = SymInfo::Kind::Formal;
-    } else {
-      info.kind = SymInfo::Kind::Local;
+      kind = SymInfo::Kind::Formal;
     }
-    unit.symbols.push_back(std::move(info));
+    std::vector<SymInfo>& symbols = units[st.file - 1].symbols;
+    symbols.push_back(sym_info(idx, kind));
+    own[idx] = static_cast<ir::StIdx>(symbols.size());
   }
 
-  // Procedures: IPL local analysis + call-site extraction, in the same
-  // order the whole-program path would visit them.
-  const ipa::CallGraph cg = ipa::CallGraph::build(program);
+  // A symbol one file uses but another declared is a global declared there
+  // first: an Import entry of the using file, added on first use.
+  std::vector<std::map<ir::StIdx, ir::StIdx>> imports(units.size());
+  auto renumber = [&](FileId file, ir::StIdx idx) {
+    if (symtab.st(idx).file == file) return own[idx];
+    const auto [it, fresh] = imports[file - 1].emplace(idx, ir::kInvalidSt);
+    if (fresh) {
+      std::vector<SymInfo>& symbols = units[file - 1].symbols;
+      symbols.push_back(sym_info(idx, SymInfo::Kind::Import));
+      it->second = static_cast<ir::StIdx>(symbols.size());
+    }
+    return it->second;
+  };
+
+  // IPL local analysis of every procedure, in call-graph order. Calls are
+  // kept by name so the link resolves them across units.
   const ipa::LocalAnalyzer local(program);
-  for (std::uint32_t i = 0; i < cg.size(); ++i) {
-    const ipa::CGNode& node = cg.node(i);
-    ProcSummary proc;
-    proc.sym = node.proc_st - 1;
-
-    const ipa::LocalSummary ls = local.analyze(node);
-    for (const ipa::AccessRecord& rec : ls.records) {
-      RecordSummary r;
-      r.sym = rec.array - 1;
-      r.mode = rec.mode;
-      r.remote = rec.remote;
-      r.image = rec.image;
-      r.region = rec.region;
-      r.refs = rec.refs;
-      r.line = rec.line;
-      proc.records.push_back(std::move(r));
+  {
+    ARA_SPAN("local-ARA", "ipa");
+    for (const ipa::CGNode& node : cg.nodes()) {
+      ipa::LocalSummary ls = local.analyze(node);
+      ProcSummary proc;
+      proc.sym = own[node.proc_st] - 1;
+      proc.records = std::move(ls.records);
+      for (ipa::AccessRecord& rec : proc.records) {
+        rec.array = renumber(node.file, rec.array);
+        rec.scope_proc = ir::kInvalidSt;
+        rec.file = kInvalidFileId;
+      }
+      for (auto& [key, mr] : ls.side_effects.effects) {
+        proc.effects.effects.emplace(std::pair(renumber(node.file, key.first), key.second),
+                                     std::move(mr));
+      }
+      for (ipa::CallSite cs : node.callsites) {
+        if (cs.callee != ipa::kNoNode) {
+          cs.unresolved = to_lower(symtab.st(cg.node(cs.callee).proc_st).name);
+          cs.callee = ipa::kNoNode;
+        }
+        for (ipa::Actual& a : cs.actuals) {
+          if (a.array != ir::kInvalidSt) a.array = renumber(node.file, a.array);
+        }
+        proc.callsites.push_back(std::move(cs));
+      }
+      units[node.file - 1].procs.push_back(std::move(proc));
     }
-    for (const auto& [key, mr] : ls.side_effects.effects) {
-      proc.effects.push_back(EffectSummary{key.first - 1, key.second, mr});
-    }
-
-    // Call sites as CallGraph::build collected them; a call to another
-    // unit's procedure is unresolved here and resolved by name at link.
-    for (const ipa::CallSite& cs : node.callsites) {
-      std::string callee = cs.callee != ipa::kNoNode
-                               ? to_lower(program.symtab.st(cg.node(cs.callee).proc_st).name)
-                               : cs.unresolved;
-      proc.callsites.push_back(CallSummary{std::move(callee), cs.line, cs.actuals});
-    }
-    unit.procs.push_back(std::move(proc));
   }
 
   for (const fe::ExternRef& ext : externs) {
-    unit.externs.push_back(ExternSummary{ext.name, ext.loc.line});
+    units[ext.loc.file - 1].externs.push_back(ExternSummary{ext.name, ext.loc.line});
   }
-
-  // CFG text without the "CFG 1" header, so the link phase can concatenate
-  // units under a single header.
-  std::string cfg = cfg::write_cfg(cfg::build_all(program));
-  if (const std::size_t nl = cfg.find('\n'); nl != std::string::npos) {
-    cfg.erase(0, nl + 1);
-  }
-  unit.cfg_text = std::move(cfg);
-  return unit;
+  return units;
 }
 
 std::string write_unit_summary(const UnitSummary& unit) {
@@ -318,19 +333,19 @@ std::string write_unit_summary(const UnitSummary& unit) {
 
   os << "procs " << unit.procs.size() << '\n';
   for (const ProcSummary& p : unit.procs) {
-    os << "proc " << p.sym << ' ' << p.records.size() << ' ' << p.effects.size() << ' '
-       << p.callsites.size() << '\n';
-    for (const RecordSummary& r : p.records) {
-      os << "rec " << r.sym << ' ' << io::mode_tag(r.mode) << ' ' << (r.remote ? 1 : 0)
+    os << "proc " << p.sym << ' ' << p.records.size() << ' ' << p.effects.effects.size()
+       << ' ' << p.callsites.size() << '\n';
+    for (const ipa::AccessRecord& r : p.records) {
+      os << "rec " << r.array - 1 << ' ' << io::mode_tag(r.mode) << ' ' << (r.remote ? 1 : 0)
          << ' ' << io::enc(r.image) << ' ' << io::write_region(r.region) << ' ' << r.refs
          << ' ' << r.line << '\n';
     }
-    for (const EffectSummary& e : p.effects) {
-      os << "eff " << e.sym << ' ' << io::mode_tag(e.mode) << ' '
-         << io::write_mode_regions(e.regions) << '\n';
+    for (const auto& [key, mr] : p.effects.effects) {
+      os << "eff " << key.first - 1 << ' ' << io::mode_tag(key.second) << ' '
+         << io::write_mode_regions(mr) << '\n';
     }
-    for (const CallSummary& c : p.callsites) {
-      os << "call " << io::enc(c.callee) << ' ' << c.line << ' ' << c.actuals.size();
+    for (const ipa::CallSite& c : p.callsites) {
+      os << "call " << io::enc(c.unresolved) << ' ' << c.line << ' ' << c.actuals.size();
       for (const ipa::Actual& a : c.actuals) os << ' ' << write_actual(a);
       os << '\n';
     }
@@ -446,16 +461,18 @@ std::optional<UnitSummary> parse_unit_summary(std::string_view text) {
       if (!rl) return std::nullopt;
       const auto rt = split_ws(*rl);
       if (rt.size() != 8 || rt[0] != "rec" || rt[2].size() != 1) return std::nullopt;
-      RecordSummary rec;
+      ipa::AccessRecord rec;
+      std::uint32_t sym = 0;
       const auto mode = io::mode_from_tag(rt[2][0]);
       const auto image = io::dec(rt[4]);
       auto region = io::read_region(rt[5]);
       const auto refs = io::read_u64(rt[6]);
-      if (!read_u32_tok(rt[1], &rec.sym) || !mode || !read_bool_tok(rt[3], &rec.remote) ||
+      if (!read_u32_tok(rt[1], &sym) || !mode || !read_bool_tok(rt[3], &rec.remote) ||
           !image || !region || !refs || !read_u32_tok(rt[7], &rec.line)) {
         return std::nullopt;
       }
-      if (rec.sym >= unit.symbols.size()) return std::nullopt;
+      if (sym >= unit.symbols.size()) return std::nullopt;
+      rec.array = sym + 1;
       rec.mode = *mode;
       rec.image = *image;
       rec.region = std::move(*region);
@@ -467,28 +484,26 @@ std::optional<UnitSummary> parse_unit_summary(std::string_view text) {
       if (!el) return std::nullopt;
       const auto et = split_ws(*el);
       if (et.size() != 4 || et[0] != "eff" || et[2].size() != 1) return std::nullopt;
-      EffectSummary eff;
+      std::uint32_t sym = 0;
       const auto mode = io::mode_from_tag(et[2][0]);
       auto mr = io::read_mode_regions(et[3]);
-      if (!read_u32_tok(et[1], &eff.sym) || !mode || !mr) return std::nullopt;
-      if (eff.sym >= unit.symbols.size()) return std::nullopt;
-      eff.mode = *mode;
-      eff.regions = std::move(*mr);
-      p.effects.push_back(std::move(eff));
+      if (!read_u32_tok(et[1], &sym) || !mode || !mr) return std::nullopt;
+      if (sym >= unit.symbols.size()) return std::nullopt;
+      p.effects.effects[{sym + 1, *mode}] = std::move(*mr);
     }
     for (std::size_t c = 0; c < ncall; ++c) {
       const auto cl = in.line();
       if (!cl) return std::nullopt;
       const auto ct = split_ws(*cl);
       if (ct.size() < 4 || ct[0] != "call") return std::nullopt;
-      CallSummary cs;
+      ipa::CallSite cs;
       const auto callee = io::dec(ct[1]);
       std::size_t nact = 0;
       if (!callee || !read_u32_tok(ct[2], &cs.line) || !read_count(ct[3], &nact)) {
         return std::nullopt;
       }
       if (ct.size() != 4 + nact) return std::nullopt;
-      cs.callee = *callee;
+      cs.unresolved = *callee;
       for (std::size_t a = 0; a < nact; ++a) {
         auto act = read_actual(ct[4 + a], unit.symbols.size());
         if (!act) return std::nullopt;

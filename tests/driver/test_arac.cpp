@@ -82,7 +82,7 @@ TEST(AracCli, CompileErrorRendersDiagnosticsAndFails) {
   const fs::path dir = fs::temp_directory_path() / "arac_err_test";
   fs::create_directories(dir);
   std::ofstream(dir / "bad.f") << "subroutine s\n  do i = \nend\n";
-  const CliRun r = arac({(dir / "bad.f").string()});
+  const CliRun r = arac({"--export-dir", (dir / "out").string(), (dir / "bad.f").string()});
   EXPECT_EQ(r.rc, 1);
   EXPECT_NE(r.err.find("error"), std::string::npos);
   fs::remove_all(dir);

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "difftest/generator.hpp"
+#include "obs/stats.hpp"
 #include "serve/engine.hpp"
 
 namespace ara::driver {
@@ -133,6 +137,52 @@ TEST(Driver, DgnProjectNamesEntryProcedures) {
   ASSERT_EQ(project.edges.size(), 1u);
   EXPECT_EQ(project.edges[0].caller, "main");
   EXPECT_EQ(project.edges[0].callee, "s");
+}
+
+std::uint64_t frontend_tokens() {
+  for (const obs::StatEntry& e : obs::StatsRegistry::instance().snapshot()) {
+    if (e.name == "frontend.tokens") return e.value;
+  }
+  return 0;
+}
+
+TEST(Driver, LibraryCompilesOnce) {
+  // analyze() summarizes and links the program compile() built: it must not
+  // run the front end a second time (the fuzz and library paths pay for
+  // every token lexed).
+  std::vector<serve::SourceBuffer> lu;
+  std::vector<fs::path> paths;
+  for (const auto& e : fs::directory_iterator(fs::path(ARA_WORKLOADS_DIR) / "lu")) {
+    if (e.path().extension() == ".f") paths.push_back(e.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  for (const fs::path& p : paths) lu.push_back(*serve::read_source(p, nullptr));
+
+  // One FM-stress program (arafuzz --stress-fm's generator grid).
+  difftest::GenOptions g;
+  g.seed = 1;
+  g.lang = Language::Fortran;
+  g.max_loop_depth = 5;
+  g.max_loop_vars = 6;
+  g.coupled_pct = 60;
+  g.stmts = 6;
+  const difftest::GeneratedProgram fm = difftest::generate(g);
+
+  obs::set_enabled(true);
+  for (const std::vector<serve::SourceBuffer>& sources :
+       {lu, std::vector<serve::SourceBuffer>{{fm.filename, fm.source, fm.lang}}}) {
+    obs::StatsRegistry::instance().reset();
+    Compiler cc;
+    for (const serve::SourceBuffer& s : sources) cc.add_source(s.name, s.text, s.lang);
+    ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
+    const std::uint64_t compiled = frontend_tokens();
+    EXPECT_GT(compiled, 0u);
+    const ipa::AnalysisResult result = cc.analyze();
+    EXPECT_FALSE(result.rows.empty());
+    EXPECT_EQ(frontend_tokens(), compiled) << sources.front().name;
+  }
+  obs::set_enabled(false);
+  obs::StatsRegistry::instance().reset();
 }
 
 }  // namespace

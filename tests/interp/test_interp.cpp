@@ -9,6 +9,7 @@
 #include "frontend/compile.hpp"
 #include "ipa/analyzer.hpp"
 #include "regions/convex_region.hpp"
+#include "serve/link.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::interp {
@@ -280,7 +281,7 @@ TEST(InterpDynamic, StaticRegionsCoverDynamicTouches) {
   auto r = run(text, "s");
   ASSERT_TRUE(r->result.ok) << r->result.error;
 
-  const auto analysis = ipa::analyze(r->program);
+  const auto analysis = serve::analyze_program(r->program);
   for (const auto& [key, entry] : r->summary.entries()) {
     const auto& [array_st, mode] = key;
     // Collect the static regions for this array+mode.

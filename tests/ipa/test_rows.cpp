@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/compile.hpp"
+#include "serve/link.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::ipa {
@@ -17,11 +18,11 @@ struct Analyzed {
 };
 
 std::unique_ptr<Analyzed> analyze(const std::string& text, Language lang,
-                                  const AnalyzeOptions& opts = {}) {
+                                  const serve::LinkOptions& opts = {}) {
   auto out = std::make_unique<Analyzed>();
   out->program.sources.add(lang == Language::C ? "matrix.c" : "t.f", text, lang);
   EXPECT_TRUE(fe::compile_program(out->program, out->diags)) << out->diags.render();
-  out->result = ipa::analyze(out->program, opts);
+  out->result = serve::analyze_program(out->program, opts);
   return out;
 }
 
@@ -127,7 +128,7 @@ TEST(Rows, NonInterprocOptionSkipsIRows) {
       "  double precision :: x(5)\n"
       "  call callee(x)\n"
       "end subroutine caller\n";
-  AnalyzeOptions opts;
+  serve::LinkOptions opts;
   opts.interprocedural = false;
   auto a = analyze(text, Language::Fortran, opts);
   for (const rgn::RegionRow& row : a->result.rows) {

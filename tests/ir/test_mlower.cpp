@@ -9,6 +9,7 @@
 #include "frontend/compile.hpp"
 #include "ipa/analyzer.hpp"
 #include "ir/printer.hpp"
+#include "serve/link.hpp"
 
 namespace ara::ir {
 namespace {
@@ -82,7 +83,7 @@ TEST(MLower, AddressArithmeticIsExplicit) {
 TEST(MLower, RegionAnalysisGoesBlindAtMLevel) {
   // The headline ablation: identical program, H vs M WHIRL.
   auto c = compile(kStencil);
-  const auto h_result = ipa::analyze(c->program);
+  const auto h_result = serve::analyze_program(c->program);
   std::size_t h_array_rows = 0;
   for (const auto& row : h_result.rows) {
     if (row.dims > 0 && row.tot_size > 1) ++h_array_rows;
@@ -90,7 +91,7 @@ TEST(MLower, RegionAnalysisGoesBlindAtMLevel) {
   ASSERT_GT(h_array_rows, 0u);
 
   const Program m_program = lower_program_to_m(c->program);
-  const auto m_result = ipa::analyze(m_program);
+  const auto m_result = serve::analyze_program(m_program);
   std::size_t m_array_rows = 0;
   for (const auto& row : m_result.rows) {
     if (row.mode == "USE" || row.mode == "DEF") {

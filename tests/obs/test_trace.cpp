@@ -119,7 +119,7 @@ TEST_F(TraceTest, ChromeTraceIsValidAndWellNested) {
 
   // The canonical phases all show up.
   for (const char* phase : {"compile", "parse", "lex", "sema", "lower", "analyze", "local-ARA",
-                            "IPA-propagate", "build-rows", "export"}) {
+                            "link", "link-propagate", "link-rows", "export"}) {
     EXPECT_TRUE(names.count(phase) == 1) << "missing phase span: " << phase;
   }
   EXPECT_GE(metadata_events, 1u) << "expected a thread_name metadata event per lane";

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,17 +59,35 @@ TEST(CrashCorpus, EveryFileSurvivesTheUnitBarrier) {
   }
 }
 
+/// The *.failures.json reports directly inside `dir`.
+std::set<std::string> failure_reports(const fs::path& dir) {
+  std::set<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".failures.json")) out.insert(name);
+  }
+  return out;
+}
+
 TEST(CrashCorpus, EveryFileSurvivesTheAracCli) {
   // Every in-process arac run goes through the batch engine's per-unit
-  // barrier, backed by run_arac's top-level sink.
+  // barrier, backed by run_arac's top-level sink. Failure reports go to a
+  // temporary export dir, never into the test's working directory.
+  const fs::path export_dir = fs::temp_directory_path() / "ara_crash_corpus_cli";
+  fs::remove_all(export_dir);
+  const std::set<std::string> cwd_reports = failure_reports(fs::current_path());
   for (const fs::path& file : corpus_files()) {
     std::ostringstream out, err;
     int rc = -1;
-    EXPECT_NO_THROW(rc = driver::run_arac({"--quiet", file.string()}, out, err))
+    EXPECT_NO_THROW(rc = driver::run_arac(
+                        {"--quiet", "--export-dir", export_dir.string(), file.string()}, out,
+                        err))
         << file.filename().string();
     EXPECT_TRUE(rc == 0 || rc == 1 || rc == 2)
         << file.filename().string() << " rc=" << rc << "\n" << err.str();
   }
+  EXPECT_EQ(failure_reports(fs::current_path()), cwd_reports);
+  fs::remove_all(export_dir);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST_F(ExitCodes, UsageErrorExitsOne) {
 
 TEST_F(ExitCodes, MonolithicCompileErrorExitsOne) {
   const fs::path src = write("bad.f", "subroutine oops(\n");
-  EXPECT_EQ(run({"--quiet", src.string()}), 1);
+  EXPECT_EQ(run({"--quiet", "--export-dir", (dir_ / "out").string(), src.string()}), 1);
 }
 
 TEST_F(ExitCodes, BatchWithNoSurvivorsExitsOne) {

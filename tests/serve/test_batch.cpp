@@ -1,7 +1,8 @@
 // End-to-end tests of the batch-analysis engine (serve::run_batch): output
 // bytes must be independent of --jobs and of cache hits vs misses, must
-// match the monolithic pipeline, and incremental re-analysis must recompile
-// exactly the edited units (verified through the serve.* obs counters).
+// match the library (one whole-program compile, summarized per file and
+// linked), and incremental re-analysis must recompile exactly the edited
+// units (verified through the serve.* obs counters).
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,10 +170,36 @@ std::vector<SourceBuffer> workload_units(const std::string& dir, const std::stri
   return out;
 }
 
+/// The whole linked analysis, field by field: the batch engine's link of
+/// separately compiled units and the library's link of its one compile
+/// must agree on records, side effects, formal binding and call graph.
+void expect_same_analysis(const ipa::AnalysisResult& batch, const ipa::AnalysisResult& lib,
+                          const std::string& where) {
+  EXPECT_EQ(batch.records, lib.records) << where;
+  EXPECT_EQ(batch.side_effects, lib.side_effects) << where;
+  EXPECT_EQ(batch.formal_binding, lib.formal_binding) << where;
+  ASSERT_EQ(batch.callgraph.size(), lib.callgraph.size()) << where;
+  EXPECT_EQ(batch.callgraph.has_cycle(), lib.callgraph.has_cycle()) << where;
+  for (std::uint32_t i = 0; i < lib.callgraph.size(); ++i) {
+    const ipa::CGNode& b = batch.callgraph.node(i);
+    const ipa::CGNode& l = lib.callgraph.node(i);
+    EXPECT_EQ(b.proc_st, l.proc_st) << where << " node " << i;
+    EXPECT_EQ(b.file, l.file) << where << " node " << i;
+    EXPECT_EQ(b.callsites, l.callsites) << where << " node " << i;
+    EXPECT_EQ(b.callers, l.callers) << where << " node " << i;
+    EXPECT_EQ(b.is_root, l.is_root) << where << " node " << i;
+    // Only the library has WHIRL to bind: its own compile's trees.
+    EXPECT_EQ(b.proc, nullptr) << where << " node " << i;
+    ASSERT_NE(l.proc, nullptr) << where << " node " << i;
+    EXPECT_EQ(l.proc->proc_st, l.proc_st) << where << " node " << i;
+  }
+}
+
 TEST(Batch, MatchesMonolithicPipeline) {
   // The batch engine's linked output must be byte-identical to the
-  // whole-program pipeline (the library's reference implementation) on the
-  // same sources, at any job count: .rgn, .dgn and .cfg.
+  // library's (one whole-program compile, summarized per file and linked)
+  // on the same sources, at any job count: .rgn, .dgn and .cfg, and at
+  // --jobs 4 the whole analysis result.
   const std::vector<std::vector<SourceBuffer>> inputs = {
       fig1_units(),
       {{"u7.c", kU7, Language::C}, {"u9.c", kU9, Language::C}},
@@ -196,7 +224,67 @@ TEST(Batch, MatchesMonolithicPipeline) {
       EXPECT_EQ(rgn::write_dgn(batch.link.project), mono_dgn)
           << sources.front().name << " --jobs " << jobs;
       EXPECT_EQ(batch.link.cfg_text, mono_cfg) << sources.front().name << " --jobs " << jobs;
+      if (jobs == 4) expect_same_analysis(batch.link, mono, sources.front().name);
     }
+  }
+}
+
+TEST(Batch, CrossFileGlobalsMatchTheLibrary) {
+  // A Fortran COMMON array and a C global, each declared in one file and
+  // used in another. The library's compile has one symbol per global, so
+  // its summary of the using file carries an Import entry; the batch
+  // engine links each unit's own declaration (Fortran) or imported one (C)
+  // by name. Both must give the same analysis.
+  struct Case {
+    std::vector<SourceBuffer> sources;
+    std::string global;
+  };
+  const std::vector<Case> cases = {
+      {{{"init.f",
+         "subroutine init\n  double precision :: grid(100)\n  integer :: i\n"
+         "  common /blk/ grid\n  do i = 1, 100\n    grid(i) = 0.0\n  end do\n"
+         "end subroutine init\n",
+         Language::Fortran},
+        {"sweep.f",
+         "subroutine sweep\n  double precision :: grid(100)\n  integer :: i\n"
+         "  common /blk/ grid\n  call init\n  do i = 2, 99\n"
+         "    grid(i) = grid(i - 1) + grid(i + 1)\n  end do\nend subroutine sweep\n",
+         Language::Fortran}},
+       "grid"},
+      {{{"fill.c",
+         "double field[64];\nvoid fill(void) {\n  int i;\n"
+         "  for (i = 0; i < 64; i++) {\n    field[i] = i;\n  }\n}\n",
+         Language::C},
+        {"scan.c",
+         "void scan(void) {\n  int i;\n  double s;\n  s = 0.0;\n  fill();\n"
+         "  for (i = 1; i < 63; i++) {\n    s = s + field[i];\n  }\n}\n",
+         Language::C}},
+       "field"}};
+  for (const Case& c : cases) {
+    driver::Compiler cc;
+    for (const SourceBuffer& s : c.sources) cc.add_source(s.name, s.text, s.lang);
+    ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
+    const std::vector<UnitSummary> units = summarize(cc.program());
+    ASSERT_EQ(units.size(), 2u);
+    EXPECT_TRUE(std::any_of(units[1].symbols.begin(), units[1].symbols.end(),
+                            [&](const SymInfo& sym) {
+                              return sym.kind == SymInfo::Kind::Import && sym.name == c.global;
+                            }))
+        << c.global << " is not an Import of " << units[1].source_name;
+    const ipa::AnalysisResult lib = cc.analyze();
+
+    BatchOptions opts;
+    opts.jobs = 2;
+    const BatchResult batch = run_batch(c.sources, opts, "globals");
+    ASSERT_TRUE(batch.ok) << batch.link.diags.render();
+    EXPECT_EQ(rgn::write_rgn(batch.link.rows), rgn::write_rgn(lib.rows)) << c.global;
+    expect_same_analysis(batch.link, lib, c.global);
+    // Both files' accesses reach the one global's rows.
+    std::set<std::string> files;
+    for (const rgn::RegionRow& row : lib.rows) {
+      if (row.array == c.global) files.insert(row.file);
+    }
+    EXPECT_EQ(files.size(), 2u) << c.global;
   }
 }
 

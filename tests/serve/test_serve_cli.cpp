@@ -150,12 +150,28 @@ TEST_F(ServeCliTest, InvalidJobsIsAUsageError) {
   EXPECT_EQ(arac({"--jobs"}).rc, 1);
 }
 
+/// The *.failures.json reports directly inside `dir`.
+std::vector<std::string> failure_reports(const fs::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".failures.json")) out.push_back(name);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST_F(ServeCliTest, CompileErrorInOneUnitFailsTheBatch) {
   const fs::path bad = dir_ / "bad.f";
   std::ofstream(bad) << "subroutine broken(\n";
-  const CliRun r = arac({"--quiet", "--jobs", "2", bad.string()});
+  const std::vector<std::string> cwd_reports = failure_reports(fs::current_path());
+  const CliRun r =
+      arac({"--quiet", "--jobs", "2", "--export-dir", (dir_ / "out").string(), bad.string()});
   EXPECT_EQ(r.rc, 1);
   EXPECT_FALSE(r.err.empty());
+  // The failure report lands in the export dir, not the working directory.
+  EXPECT_TRUE(fs::exists(dir_ / "out" / "bad.failures.json"));
+  EXPECT_EQ(failure_reports(fs::current_path()), cwd_reports);
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ subroutine add
 end subroutine add
 )";
 
-UnitSummary summarize(const char* text) {
+UnitSummary summarize_text(const char* text) {
   ir::Program program;
   program.sources.add("unit.f", text, Language::Fortran);
   DiagnosticEngine diags(&program.sources);
@@ -46,11 +46,11 @@ UnitSummary summarize(const char* text) {
   fe::CompileOptions copts;
   copts.external_calls = true;
   EXPECT_TRUE(fe::compile_program(program, diags, copts, &externs)) << diags.render();
-  return summarize_unit(program, externs);
+  return summarize(program, externs).front();
 }
 
 TEST(SummarySerde, RoundTripIsByteStable) {
-  const UnitSummary unit = summarize(kUnit);
+  const UnitSummary unit = summarize_text(kUnit);
   const std::string bytes = write_unit_summary(unit);
   const std::optional<UnitSummary> parsed = parse_unit_summary(bytes);
   ASSERT_TRUE(parsed.has_value());
@@ -58,7 +58,7 @@ TEST(SummarySerde, RoundTripIsByteStable) {
 }
 
 TEST(SummarySerde, RoundTripPreservesStructure) {
-  const UnitSummary unit = summarize(kUnit);
+  const UnitSummary unit = summarize_text(kUnit);
   const auto parsed = parse_unit_summary(write_unit_summary(unit));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->source_name, "unit.f");
@@ -82,14 +82,14 @@ TEST(SummarySerde, RejectsGarbage) {
 
 TEST(SummarySerde, RejectsEveryTruncation) {
   // Chopping the serialized form anywhere must yield a clean parse failure.
-  const std::string bytes = write_unit_summary(summarize(kUnit));
+  const std::string bytes = write_unit_summary(summarize_text(kUnit));
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(parse_unit_summary(bytes.substr(0, len)).has_value()) << "len " << len;
   }
 }
 
 TEST(SummarySerde, RejectsOutOfRangeSymbolIndices) {
-  const UnitSummary unit = summarize(kUnit);
+  const UnitSummary unit = summarize_text(kUnit);
   std::string bytes = write_unit_summary(unit);
   // Point the first proc at a symbol index past the table.
   const std::size_t pos = bytes.find("proc ");
@@ -108,7 +108,7 @@ TEST(SummarySerde, RejectsGiantCounts) {
 }
 
 TEST(SummarySerde, RejectsUnknownSymbolKind) {
-  std::string bytes = write_unit_summary(summarize(kUnit));
+  std::string bytes = write_unit_summary(summarize_text(kUnit));
   const std::size_t pos = bytes.find("sym P");
   ASSERT_NE(pos, std::string::npos);
   bytes[pos + 4] = 'Z';

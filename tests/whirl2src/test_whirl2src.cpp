@@ -4,6 +4,7 @@
 
 #include "frontend/compile.hpp"
 #include "ipa/analyzer.hpp"
+#include "serve/link.hpp"
 
 namespace ara::whirl2src {
 namespace {
@@ -125,8 +126,8 @@ TEST(EmitProgram, RecompilesToTheSameAnalysis) {
   const std::string emitted = emit_program(c1->program, Language::Fortran);
   auto c2 = compile(emitted, Language::Fortran);
 
-  const auto r1 = ipa::analyze(c1->program);
-  const auto r2 = ipa::analyze(c2->program);
+  const auto r1 = serve::analyze_program(c1->program);
+  const auto r2 = serve::analyze_program(c2->program);
   ASSERT_EQ(r1.rows.size(), r2.rows.size()) << emitted;
   for (std::size_t i = 0; i < r1.rows.size(); ++i) {
     EXPECT_EQ(r1.rows[i].array, r2.rows[i].array);
@@ -165,8 +166,8 @@ TEST(Whirl2f, NegativeStrideLoopRoundTrips) {
   const std::string emitted = emit_program(c1->program, Language::Fortran);
   EXPECT_NE(emitted.find("do i = 10, 1, "), std::string::npos);
   auto c2 = compile(emitted, Language::Fortran);
-  const auto r1 = ipa::analyze(c1->program);
-  const auto r2 = ipa::analyze(c2->program);
+  const auto r1 = serve::analyze_program(c1->program);
+  const auto r2 = serve::analyze_program(c2->program);
   ASSERT_EQ(r1.rows.size(), r2.rows.size());
   for (std::size_t i = 0; i < r1.rows.size(); ++i) {
     EXPECT_EQ(r1.rows[i].lb, r2.rows[i].lb);
